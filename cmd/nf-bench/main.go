@@ -70,7 +70,6 @@ func main() {
 	batch := flag.Int("batch", 0, "datapath clock batch size (0 = engine default, 1 = unbatched)")
 	burst := flag.String("burst", "adaptive", "vectorized frame-burst window: adaptive, off, or a max cycles-per-window cap (results identical in every mode)")
 	segment := flag.String("segment", "auto", "segment scheduler: auto, off, or an events-per-segment budget (results identical in every mode)")
-	execName := flag.String("exec", "local", "execution backend: local (fixed pool) or elastic (grow/shrink workers mid-batch; results identical)")
 	fidelity := flag.String("fidelity", "full", "execution fidelity: full (cycle-accurate everywhere) or hybrid (background-tagged flows run the analytic model; results differ from full by design)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
@@ -99,21 +98,11 @@ func main() {
 
 	segOn, segBudget := parseSegment(*segment)
 	burstN := parseBurst(*burst)
-	if *execName != "local" && *execName != "elastic" {
-		fmt.Fprintf(os.Stderr, "nf-bench: -exec must be local or elastic (got %q)\n", *execName)
-		os.Exit(2)
-	}
-	if *execName == "elastic" && !segOn {
-		// An elastic pool is segmentation: silently running segmented
-		// anyway would invalidate any whole-job-vs-elastic comparison.
-		fmt.Fprintln(os.Stderr, "nf-bench: -exec elastic requires the segment scheduler (-segment off conflicts)")
-		os.Exit(2)
-	}
 	fid := parseFidelity(*fidelity)
 	stopProf := startProfiles(*cpuprofile, *memprofile)
 	defer stopProf()
 	mkExec := func(w int) fleet.Executor {
-		return buildExecutor(*execName, w, *seed, *batch, burstN, segOn, segBudget, fid)
+		return buildExecutor(w, *seed, *batch, burstN, segOn, segBudget, fid)
 	}
 	store := ""
 	if !*noStore {
@@ -184,17 +173,10 @@ func parseBurst(v string) int {
 	return n
 }
 
-// buildExecutor constructs the chosen local execution backend from the
-// shared CLI knobs — the one place the main and sweep modes agree on
-// what "local" and "elastic" mean. name must already be validated.
-func buildExecutor(name string, w int, seed uint64, batch, burst int, segOn bool, segBudget uint64, fid string) fleet.Executor {
-	if name == "elastic" {
-		return &fleet.Elastic{
-			Runner: fleet.Runner{BaseSeed: seed, ClockBatch: batch,
-				FrameBurst: burst, SegmentBudget: segBudget, Fidelity: fid},
-			Min: 1, Max: w,
-		}
-	}
+// buildExecutor constructs the local execution pool from the shared CLI
+// knobs — the one place the main and sweep modes agree on what they
+// mean.
+func buildExecutor(w int, seed uint64, batch, burst int, segOn bool, segBudget uint64, fid string) *fleet.Runner {
 	return &fleet.Runner{Workers: w, BaseSeed: seed, ClockBatch: batch,
 		FrameBurst: burst, Segment: segOn, SegmentBudget: segBudget,
 		Fidelity: fid}

@@ -23,15 +23,13 @@ import (
 )
 
 // runSweepCmd implements `nf-bench sweep`: expand a scenario-matrix
-// config into fleet jobs, execute them — in-process, on the elastic
-// pool, or sharded across OS processes — with streaming progress,
-// persist every cell into the results store, and optionally diff the
-// run against a golden digest file or a previous stored run.
+// config into fleet jobs, execute them — in-process, or on a fleet of
+// local and remote worker processes — with streaming progress, persist
+// every cell into the results store, and optionally diff the run
+// against a golden digest file or a previous stored run.
 //
 //	nf-bench sweep -config examples/paper.sweep
 //	nf-bench sweep -config examples/paper.sweep -filter 'T4 -latency'
-//	nf-bench sweep -config examples/paper.sweep -exec elastic
-//	nf-bench sweep -config examples/paper.sweep -shards 4 -workers 2
 //	nf-bench sweep -config examples/paper.sweep -compare testdata/golden_sweep.json
 //	nf-bench sweep -config examples/paper.sweep -out golden.json
 //	nf-bench sweep -config examples/matrix.sweep -compare-run <run-id>
@@ -45,17 +43,15 @@ func runSweepCmd(args []string) {
 	batch := fs.Int("batch", 0, "datapath clock batch size (0 = engine default)")
 	burst := fs.String("burst", "adaptive", "vectorized frame-burst window: adaptive, off, or a max cycles-per-window cap (cell digests identical in every mode)")
 	segment := fs.String("segment", "auto", "segment scheduler: auto, off, or an events-per-segment budget (cell digests identical in every mode)")
-	execName := fs.String("exec", "local", "execution backend: local (fixed pool) or elastic (grow/shrink workers mid-batch; digests identical)")
 	fidelityFlag := fs.String("fidelity", "full", "execution fidelity override for cells without their own fidelity axis: full (cycle-accurate) or hybrid (analytic background model; digests differ from full by design)")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := fs.String("memprofile", "", "write a heap profile to this file on exit")
-	shards := fs.Int("shards", 1, "partition cells by canonical key across N OS processes (digests identical to a single-process run); with -connect, N > 1 adds N local worker processes to the fleet")
-	shardWorker := fs.Bool("shard-worker", false, "internal: serve one shard over length-prefixed JSON on stdin/stdout")
+	shards := fs.Int("shards", 1, "N local session worker processes (digests identical)")
 	connect := fs.String("connect", "", "comma-separated worker addresses (host:port) running `nf-bench shard-worker -listen`; cells are assigned dynamically and a dead worker's cells requeue onto survivors")
 	migrateAfter := fs.Uint64("migrate-after", 0, "force every cell to checkpoint after N executed events and resume on another worker (digests unchanged; the migration determinism gate)")
 	workerTimeout := fs.Duration("worker-timeout", 0, "kill a fleet worker silent for this long while owing cells and requeue its cells (0 = never)")
 	steal := fs.Bool("steal", false, "utilization-driven migration: when the queue drains and a fleet worker idles, the busiest worker parks a cell for it")
-	sched := fs.String("sched", "seeded", "scheduling policy: seeded (weight workers and elastic sizing by the latest matching run's persisted utilization; falls back to uniform when none exists) or uniform (digests identical either way)")
+	sched := fs.String("sched", "seeded", "scheduling policy: seeded (weight workers by the latest matching run's persisted utilization; falls back to uniform when none exists) or uniform (digests identical either way)")
 	tlsCA := fs.String("tls-ca", "", "CA certificate (PEM) to verify -connect workers against; enables TLS on every dialed worker")
 	chaosSeed := fs.Uint64("chaos", 0, "inject deterministic transport faults (drops, delays, duplicates, corruption, truncation, kills, hangs) on every fleet worker, scheduled from this seed; 0 = off, digests are unchanged by any seed")
 	resume := fs.String("resume", "", "resume an interrupted sweep: adopt the run's persisted partial cells (digest-verified) and execute only the remainder")
@@ -75,13 +71,6 @@ func runSweepCmd(args []string) {
 	quiet := fs.Bool("q", false, "suppress per-cell progress lines")
 	fs.Parse(args)
 
-	if *shardWorker {
-		if err := shard.Serve(context.Background(), os.Stdin, os.Stdout, workerPlan); err != nil {
-			fmt.Fprintf(os.Stderr, "nf-bench shard worker: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
 	if *history != "" {
 		runHistory(*storeDir, *history)
 		return
@@ -137,10 +126,6 @@ func runSweepCmd(args []string) {
 		fs.Usage()
 		os.Exit(2)
 	}
-	if *execName != "local" && *execName != "elastic" {
-		fmt.Fprintf(os.Stderr, "nf-bench sweep: -exec must be local or elastic (got %q)\n", *execName)
-		os.Exit(2)
-	}
 	if *sched != "seeded" && *sched != "uniform" {
 		fmt.Fprintf(os.Stderr, "nf-bench sweep: -sched must be seeded or uniform (got %q)\n", *sched)
 		os.Exit(2)
@@ -149,10 +134,10 @@ func runSweepCmd(args []string) {
 		fmt.Fprintf(os.Stderr, "nf-bench sweep: -shards must be >= 1 (got %d)\n", *shards)
 		os.Exit(2)
 	}
-	// Any dynamic-fleet knob routes the run through the session
-	// coordinator; plain -shards N keeps the static by-key partition.
+	// Local worker processes or any fleet knob route the run through the
+	// session coordinator.
 	addrs := splitAddrs(*connect)
-	fleetMode := len(addrs) > 0 || *migrateAfter > 0 || *steal || *workerTimeout > 0 ||
+	fleetMode := *shards > 1 || len(addrs) > 0 || *migrateAfter > 0 || *steal || *workerTimeout > 0 ||
 		*chaosSeed != 0 || *resume != "" || *stallTimeout > 0
 	procs := *shards
 	if len(addrs) > 0 && procs == 1 {
@@ -186,21 +171,13 @@ func runSweepCmd(args []string) {
 	fid := parseFidelity(*fidelityFlag)
 	stopProf := startProfiles(*cpuprofile, *memprofile)
 	defer stopProf()
-	if *execName == "elastic" && !segOn {
-		fmt.Fprintln(os.Stderr, "nf-bench sweep: -exec elastic requires the segment scheduler (-segment off conflicts)")
-		os.Exit(2)
-	}
 
 	plan, err := sweep.PlanGroups(groups, *filter, *seed)
 	fatal(err)
 	total := len(plan.Cells)
-	mode := *execName
-	switch {
-	case fleetMode:
-		mode = fmt.Sprintf("fleet of %d local + %d remote workers (%s per worker)",
-			procs, len(addrs), *execName)
-	case *shards > 1:
-		mode = fmt.Sprintf("%d-process shards (%s per shard)", *shards, *execName)
+	mode := "local"
+	if fleetMode {
+		mode = fmt.Sprintf("fleet of %d local + %d remote workers", procs, len(addrs))
 	}
 	fmt.Printf("sweep %q: %d cells, %d workers, base seed %d, %s\n", cfg.Name, total, w, *seed, mode)
 	if total == 0 {
@@ -277,11 +254,10 @@ func runSweepCmd(args []string) {
 	var rs *sweep.Results
 	if fleetMode {
 		rs = runFleet(plan, st, meta, fleetConfig{
-			shardConfig: shardConfig{
-				config: *configPath, filter: *filter, seed: *seed,
-				workers: w, batch: *batch, burst: burstN,
-				segOn: segOn, segBudget: segBudget,
-				elastic: *execName == "elastic", fidelity: fid,
+			req: shard.Request{
+				Config: *configPath, Filter: *filter, Seed: *seed,
+				Workers: w, ClockBatch: *batch, FrameBurst: burstN,
+				Segment: segOn, SegmentBudget: segBudget, Fidelity: fid,
 			},
 			procs: procs, addrs: addrs, migrateAfter: *migrateAfter,
 			hangTimeout: *workerTimeout, steal: *steal, quiet: *quiet,
@@ -295,18 +271,8 @@ func runSweepCmd(args []string) {
 			},
 			completed: completed,
 		}, progress)
-	} else if *shards > 1 {
-		rs = runSharded(plan, st, meta, shardConfig{
-			shards: *shards, config: *configPath, filter: *filter, seed: *seed,
-			workers: w, batch: *batch, burst: burstN,
-			segOn: segOn, segBudget: segBudget,
-			elastic: *execName == "elastic", fidelity: fid,
-		}, progress)
 	} else {
-		ex := buildExecutor(*execName, w, *seed, *batch, burstN, segOn, segBudget, fid)
-		if el, ok := ex.(*fleet.Elastic); ok && *sched == "seeded" && st != nil {
-			seedElastic(el, st, &meta)
-		}
+		ex := buildExecutor(w, *seed, *batch, burstN, segOn, segBudget, fid)
 		ch, streamed, err := plan.Execute(context.Background(), ex)
 		fatal(err)
 		for cr := range ch {
@@ -380,7 +346,7 @@ func runSweepCmd(args []string) {
 	}
 }
 
-// workerPlan resolves a shard request into the full sweep plan — the
+// workerPlan resolves a session request into the full sweep plan — the
 // worker-side twin of the coordinator's planning, sharing one config
 // file so both sides always expand identical cells.
 func workerPlan(req shard.Request) (*sweep.Plan, error) {
@@ -393,96 +359,6 @@ func workerPlan(req shard.Request) (*sweep.Plan, error) {
 		return nil, err
 	}
 	return sweep.PlanGroups(groups, req.Filter, req.Seed)
-}
-
-type shardConfig struct {
-	shards         int
-	config, filter string
-	seed           uint64
-	workers, batch int
-	burst          int
-	segOn          bool
-	segBudget      uint64
-	elastic        bool
-	fidelity       string
-}
-
-// runSharded executes the plan across OS-process shards, streaming
-// per-shard partial runs into the store as cells arrive and folding
-// them into one complete, indexed run at the end. A shard failure
-// leaves the partial runs on disk for diagnosis and exits nonzero.
-func runSharded(plan *sweep.Plan, st *resultstore.Store, meta resultstore.Meta,
-	sc shardConfig, progress func(sweep.CellResult)) *sweep.Results {
-
-	exe, err := os.Executable()
-	fatal(err)
-	spawn := func(i int) (*shard.Proc, error) {
-		cmd := exec.Command(exe, "sweep", "-shard-worker")
-		cmd.Stderr = os.Stderr
-		in, err := cmd.StdinPipe()
-		if err != nil {
-			return nil, err
-		}
-		out, err := cmd.StdoutPipe()
-		if err != nil {
-			return nil, err
-		}
-		if err := cmd.Start(); err != nil {
-			return nil, err
-		}
-		return &shard.Proc{In: in, Out: out, Wait: cmd.Wait,
-			Kill: cmd.Process.Kill}, nil
-	}
-
-	// Per-shard partial writers: every streamed cell is on disk before
-	// the merge, so a crashed shard loses nothing already harvested.
-	var writers []*resultstore.RunWriter
-	var partIDs []string
-	if st != nil {
-		for i := 0; i < sc.shards; i++ {
-			pm := meta
-			pm.Run = fmt.Sprintf("%s-s%dof%d", meta.Run, i, sc.shards)
-			pm.Partial = true
-			pm.Shard = fmt.Sprintf("%d/%d", i, sc.shards)
-			rw, err := st.Begin(pm)
-			fatal(err)
-			writers = append(writers, rw)
-			partIDs = append(partIDs, pm.Run)
-		}
-	}
-
-	co := &shard.Coordinator{
-		Shards: sc.shards,
-		Req: shard.Request{
-			Config: sc.config, Filter: sc.filter, Seed: sc.seed,
-			Workers: sc.workers, ClockBatch: sc.batch, FrameBurst: sc.burst,
-			Segment: sc.segOn, SegmentBudget: sc.segBudget, Elastic: sc.elastic,
-			Fidelity: sc.fidelity,
-		},
-		Spawn: spawn,
-	}
-	rs, runErr := co.Run(context.Background(), plan, func(cr sweep.CellResult) {
-		if st != nil {
-			fatal(writers[sweep.ShardOf(cr.Cell.Key, sc.shards)].Append(storeRecord(cr)))
-		}
-		progress(cr)
-	})
-	for _, rw := range writers {
-		fatal(rw.Close())
-	}
-	if runErr != nil {
-		if st != nil {
-			fmt.Fprintf(os.Stderr, "nf-bench sweep: partial shard runs preserved in %s: %s\n",
-				st.Dir(), strings.Join(partIDs, ", "))
-		}
-		fatal(runErr)
-	}
-	if st != nil {
-		n, err := st.MergeRuns(meta, partIDs, plan.Keys())
-		fatal(err)
-		fmt.Printf("merged %d partial runs into %s (%d cells)\n", len(partIDs), meta.Run, n)
-	}
-	return rs
 }
 
 // splitAddrs parses the -connect list: comma-separated host:port
@@ -498,7 +374,7 @@ func splitAddrs(s string) []string {
 }
 
 type fleetConfig struct {
-	shardConfig
+	req          shard.Request
 	procs        int
 	addrs        []string
 	migrateAfter uint64
@@ -513,28 +389,6 @@ type fleetConfig struct {
 	fallback     bool
 	breaker      shard.Breaker
 	completed    []sweep.CellRecord
-}
-
-// seedElastic seeds an elastic pool from the latest in-process run of
-// the same plan: the measured mean concurrency becomes the starting
-// worker count, and the hysteresis band narrows so the controller
-// holds the measured size instead of re-learning it. Pool size is
-// scheduling only; digests cannot change.
-func seedElastic(el *fleet.Elastic, st *resultstore.Store, meta *resultstore.Meta) {
-	cap, err := st.LatestCapacity(meta.PlanHash, "")
-	fatal(err)
-	if cap == nil || cap.Util == nil {
-		return
-	}
-	min := fleet.SeededWorkers(*cap.Util, el.Max)
-	if min == 0 {
-		return
-	}
-	el.Min = min
-	el.Grow, el.Shrink = 0.85, 0.65
-	meta.SchedFrom = cap.Run
-	fmt.Printf("sched: elastic seeded from run %s: start at %d workers (measured concurrency %.1f)\n",
-		cap.Run, min, cap.Util.BusyMS/cap.Util.WallMS)
 }
 
 // runFleet executes the plan on the dynamic session coordinator:
@@ -678,12 +532,7 @@ func runFleet(plan *sweep.Plan, st *resultstore.Store, meta resultstore.Meta,
 	}
 
 	fl := &shard.Fleet{
-		Req: shard.Request{
-			Config: fc.config, Filter: fc.filter, Seed: fc.seed,
-			Workers: fc.workers, ClockBatch: fc.batch, FrameBurst: fc.burst,
-			Segment: fc.segOn, SegmentBudget: fc.segBudget, Elastic: fc.elastic,
-			Fidelity: fc.fidelity,
-		},
+		Req:          fc.req,
 		Endpoints:    eps,
 		Connectors:   conns,
 		MigrateAfter: fc.migrateAfter,

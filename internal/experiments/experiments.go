@@ -84,8 +84,8 @@ func (t *Table) String() string {
 // Experiment is one runnable experiment. Run receives the fleet
 // execution backend that executes the experiment's devices: a
 // sequential runner reproduces the classic one-device-at-a-time
-// behaviour, a parallel or elastic backend shards the same jobs across
-// workers with identical results (each device is seeded and stepped
+// behaviour, a parallel backend spreads the same jobs across workers
+// with identical results (each device is seeded and stepped
 // independently).
 type Experiment struct {
 	ID    string

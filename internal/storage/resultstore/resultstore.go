@@ -42,11 +42,12 @@ type Meta struct {
 	// Stamp is a human timestamp (informational only; never part of
 	// any digest).
 	Stamp string `json:"stamp,omitempty"`
-	// Partial marks a shard's partial run: it records one partition of
-	// a sweep, is excluded from the index, and is meant to be folded
-	// into a complete run by MergeRuns.
+	// Partial marks a partial run: it records the cells a multi-process
+	// sweep streamed in, is excluded from the index, and is meant to be
+	// folded into a complete run by MergeRuns.
 	Partial bool `json:"partial,omitempty"`
-	// Shard labels a partial run's partition ("0/4").
+	// Shard labels a partial run's origin ("fleet/3" for a fleet of
+	// three workers).
 	Shard string `json:"shard,omitempty"`
 	// Transport records how a distributed run reached its workers
 	// ("proc", "tcp", "proc+tcp"); empty for in-process runs.
@@ -349,10 +350,9 @@ func (st *Store) ReadRunTolerant(run string) (Meta, []Record, int, error) {
 
 // PartialRuns lists the store's partial runs whose id starts with
 // prefix, sorted — how `-resume <run>` finds an interrupted run's
-// persisted pieces (the fleet path writes `<run>-fleet`, the static
-// shard path `<run>-s<i>of<n>`). Runs whose meta line is unreadable
-// are skipped: a file torn before its first line holds no records
-// worth adopting.
+// persisted pieces (the fleet path writes `<run>-fleet`). Runs whose
+// meta line is unreadable are skipped: a file torn before its first
+// line holds no records worth adopting.
 func (st *Store) PartialRuns(prefix string) ([]string, error) {
 	runs, err := st.Runs()
 	if err != nil {

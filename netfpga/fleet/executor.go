@@ -5,20 +5,10 @@ import "context"
 // Executor is the execution substrate behind a batch of jobs: anything
 // that can take a compiled job list and stream back one Result per job.
 // The sweep layer plans cells against this interface instead of a
-// concrete pool, which is what lets one scenario description run on a
-// laptop pool, an elastic pool, or a multi-process shard fleet
-// unchanged.
-//
-// Three backends ship with the repo:
-//
-//   - *Runner: the in-process pool (whole-job or segmented
-//     work-stealing scheduling).
-//   - *Elastic: a segmented pool whose worker count grows and shrinks
-//     mid-batch, driven by live utilization feedback.
-//   - the shard backend (netfpga/sweep/shard): cells partitioned by
-//     canonical key across OS processes, each process running one of
-//     the in-process backends; results stream back over pipes and are
-//     merged in expansion order.
+// concrete pool. *Runner is the in-process implementation (whole-job or
+// segmented work-stealing scheduling); the multi-process shard fleet
+// (netfpga/sweep/shard) runs a Runner inside every worker process and
+// merges the streamed results in expansion order.
 //
 // The contract every backend must honour is the fleet's determinism
 // rule: a job's result is a pure function of the job and its seed,
@@ -47,7 +37,4 @@ func (r *Runner) Execute(ctx context.Context, jobs []Job) <-chan Result {
 // SeedBase implements Executor.
 func (r *Runner) SeedBase() uint64 { return r.BaseSeed }
 
-var (
-	_ Executor = (*Runner)(nil)
-	_ Executor = (*Elastic)(nil)
-)
+var _ Executor = (*Runner)(nil)

@@ -332,3 +332,42 @@ func TestMustValue(t *testing.T) {
 	}()
 	bad.MustValue()
 }
+
+// TestExecutorInterface: the whole-job and segmented pools satisfy
+// Executor and agree on results through the interface.
+func TestExecutorInterface(t *testing.T) {
+	jobs := []Job{switchJob("a"), switchJob("b")}
+	backends := []struct {
+		name string
+		ex   Executor
+	}{
+		{"runner", &Runner{Workers: 2, BaseSeed: 7}},
+		{"segmented", &Runner{Workers: 2, BaseSeed: 7, Segment: true}},
+	}
+	var want []string
+	for _, b := range backends {
+		if b.ex.SeedBase() != 7 {
+			t.Fatalf("%s: SeedBase %d", b.name, b.ex.SeedBase())
+		}
+		got := make([]string, len(jobs))
+		for r := range b.ex.Execute(context.Background(), jobs) {
+			if r.Err != nil {
+				t.Fatalf("%s job %d: %v", b.name, r.Index, r.Err)
+			}
+			got[r.Index] = fingerprint(r)
+		}
+		if b.ex.Utilization() == nil {
+			t.Errorf("%s: no utilization after Execute", b.name)
+		}
+		if want == nil {
+			want = got
+			continue
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Errorf("%s job %d diverged from %s:\n%s\nvs\n%s",
+					b.name, i, backends[0].name, got[i], want[i])
+			}
+		}
+	}
+}

@@ -22,10 +22,10 @@ var ErrDiverged = errors.New("sweep: determinism violation")
 // Plan is a compiled sweep execution: every expanded cell paired with
 // its measure, plus the base seed cell seeds derive from. A plan is the
 // unit the execution backends share — execute it in-process on any
-// fleet.Executor, or partition it by canonical key (Shard) across OS
-// processes and merge the streamed records back (Merger). Because cell
-// seeds derive from (BaseSeed, key) and never from batch position,
-// every partition of a plan produces byte-identical per-cell digests.
+// fleet.Executor, or hand its cells out to worker processes and merge
+// the streamed records back (Merger). Because cell seeds derive from
+// (BaseSeed, key) and never from batch position, every split of a
+// plan produces byte-identical per-cell digests.
 type Plan struct {
 	// Cells are the expanded scenarios in expansion order.
 	Cells []Cell
@@ -99,9 +99,8 @@ func (p *Plan) groupOffsets() []int {
 	return off
 }
 
-// fnv64 is the 64-bit FNV-1a of a key — the one hash both seed
-// derivation (SeedForKey) and shard membership (ShardOf) fold, so the
-// two invariants can never drift apart.
+// fnv64 is the 64-bit FNV-1a of a key, the hash seed derivation
+// (SeedForKey) folds.
 func fnv64(key string) uint64 {
 	h := uint64(0xcbf29ce484222325)
 	for i := 0; i < len(key); i++ {
@@ -109,37 +108,6 @@ func fnv64(key string) uint64 {
 		h *= 0x100000001b3
 	}
 	return h
-}
-
-// ShardOf maps a canonical cell key to a shard index in [0, n): the
-// key's FNV-1a, mod n. Membership is a pure function of the key alone
-// — never of expansion order, filters, or the other shards — so a
-// shard worker and its coordinator always agree on the partition, and
-// re-running one shard reproduces exactly its cells.
-func ShardOf(key string, n int) int {
-	if n <= 1 {
-		return 0
-	}
-	return int(fnv64(key) % uint64(n))
-}
-
-// Shard returns the sub-plan of cells assigned to shard i of n,
-// preserving expansion order and group structure.
-func (p *Plan) Shard(i, n int) *Plan {
-	if n <= 1 {
-		return p
-	}
-	sub := &Plan{BaseSeed: p.BaseSeed, ngroups: p.ngroups}
-	for j, c := range p.Cells {
-		if ShardOf(c.Key, n) != i {
-			continue
-		}
-		sub.Cells = append(sub.Cells, c)
-		sub.measures = append(sub.measures, p.measures[j])
-		sub.groupIdx = append(sub.groupIdx, p.groupIdx[j])
-	}
-	sub.index()
-	return sub
 }
 
 // Jobs compiles every cell into a fleet job.
@@ -254,10 +222,10 @@ func (r CellResult) Record() CellRecord {
 
 // Merger folds externally executed cell records back into a plan's
 // result set, in expansion order. It is the coordinator half of the
-// shard backend: every record must belong to the plan, arrive at most
-// once, and — the wire-integrity check — reproduce its transmitted
-// digest when the digest is recomputed locally from the record's
-// content. Safe for concurrent Place calls.
+// shard backend: every record must belong to the plan, and — the
+// wire-integrity check — reproduce its transmitted digest when the
+// digest is recomputed locally from the record's content. Safe for
+// concurrent Adopt calls.
 type Merger struct {
 	plan *Plan
 	rs   *Results
@@ -269,7 +237,7 @@ type Merger struct {
 }
 
 // Merger returns an empty result set for the plan, to be filled by
-// Place.
+// Adopt.
 func (p *Plan) Merger() *Merger {
 	m := &Merger{
 		plan: p,
@@ -287,22 +255,36 @@ func (p *Plan) Merger() *Merger {
 	return m
 }
 
-// Place merges one record and returns the reconstructed cell result.
-func (m *Merger) Place(rec CellRecord) (CellResult, error) {
+// Adopt merges one record and returns the reconstructed cell result. It
+// tolerates the duplicate a recovering fleet can legitimately produce:
+// when a cell is requeued off a presumed-dead worker whose in-flight
+// result still arrives, the same cell completes twice. An exact
+// duplicate — identical digest, which by the digest's construction
+// means identical content — is reported as dup=true with no error and
+// no state change. Two completions that disagree are a determinism
+// violation (ErrDiverged).
+func (m *Merger) Adopt(rec CellRecord) (cr CellResult, dup bool, err error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.placeLocked(rec)
-}
-
-func (m *Merger) placeLocked(rec CellRecord) (CellResult, error) {
 	i, ok := m.pos[rec.Key]
 	if !ok {
-		return CellResult{}, fmt.Errorf("sweep: merge: cell %q is not in the plan", rec.Key)
+		return CellResult{}, false, fmt.Errorf("sweep: merge: cell %q is not in the plan", rec.Key)
 	}
 	if m.filled[i] {
-		return CellResult{}, fmt.Errorf("sweep: merge: cell %q delivered twice", rec.Key)
+		prev := m.rs.Cells[i]
+		if rec.Digest == prev.Digest {
+			return prev, true, nil
+		}
+		return CellResult{}, false, fmt.Errorf(
+			"sweep: merge: cell %q completed twice with diverging digests (%s then %s): %w",
+			rec.Key, prev.Digest, rec.Digest, ErrDiverged)
 	}
-	cr := CellResult{
+	if rec.Digest == "" {
+		// Every legitimate producer stamps the digest; an empty one is
+		// a protocol violation, not a check to skip.
+		return CellResult{}, false, fmt.Errorf("sweep: merge: cell %q record carries no digest", rec.Key)
+	}
+	cr = CellResult{
 		Cell:    m.plan.Cells[i],
 		Index:   i,
 		Seed:    rec.Seed,
@@ -313,43 +295,14 @@ func (m *Merger) placeLocked(rec CellRecord) (CellResult, error) {
 		Err:     rec.Err,
 	}
 	cr.Digest = cr.digest()
-	if rec.Digest == "" {
-		// Every legitimate producer stamps the digest; an empty one is
-		// a protocol violation, not a check to skip.
-		return CellResult{}, fmt.Errorf("sweep: merge: cell %q record carries no digest", rec.Key)
-	}
 	if rec.Digest != cr.Digest {
-		return CellResult{}, fmt.Errorf("sweep: merge: cell %q digest %s does not survive the wire (recomputed %s)",
+		return CellResult{}, false, fmt.Errorf("sweep: merge: cell %q digest %s does not survive the wire (recomputed %s)",
 			rec.Key, rec.Digest, cr.Digest)
 	}
 	m.filled[i] = true
 	m.n++
 	m.rs.Cells[i] = cr
-	return cr, nil
-}
-
-// Adopt places one record like Place, but tolerates the duplicate a
-// recovering fleet can legitimately produce: when a cell is requeued
-// off a presumed-dead worker whose in-flight result still arrives, the
-// same cell completes twice. An exact duplicate — identical digest,
-// which by the digest's construction means identical content — is
-// reported as dup=true with no error and no state change. Two
-// completions that disagree are a determinism violation and fail
-// exactly like Place's integrity errors.
-func (m *Merger) Adopt(rec CellRecord) (cr CellResult, dup bool, err error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if i, ok := m.pos[rec.Key]; ok && m.filled[i] {
-		prev := m.rs.Cells[i]
-		if rec.Digest == prev.Digest {
-			return prev, true, nil
-		}
-		return CellResult{}, false, fmt.Errorf(
-			"sweep: merge: cell %q completed twice with diverging digests (%s then %s): %w",
-			rec.Key, prev.Digest, rec.Digest, ErrDiverged)
-	}
-	cr, err = m.placeLocked(rec)
-	return cr, false, err
+	return cr, false, nil
 }
 
 // Filled reports whether the cell for key has already been merged.
@@ -382,7 +335,7 @@ func (m *Merger) Missing() []string {
 }
 
 // Results seals and returns the merged result set; it fails when any
-// plan cell is still missing (a partial shard failure must never
+// plan cell is still missing (a partial fleet failure must never
 // silently masquerade as a complete run).
 func (m *Merger) Results() (*Results, error) {
 	if missing := m.Missing(); len(missing) > 0 {

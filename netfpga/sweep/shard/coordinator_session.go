@@ -21,7 +21,7 @@ import (
 // merges the streamed records into one result set with digests
 // byte-identical to a single-process run.
 //
-// Unlike the static Coordinator, the fleet survives its workers:
+// The fleet survives its workers:
 //
 //   - Death/disconnect: a worker whose stream breaks (process killed,
 //     connection lost, malformed frames) is discarded and every cell it
@@ -54,8 +54,7 @@ import (
 // worker failure.
 type Fleet struct {
 	// Req is the session template sent in each Open: config, filter,
-	// seed, and local-pool tuning. Shard/Shards are ignored — the fleet
-	// assigns cells dynamically.
+	// seed, and local-pool tuning.
 	Req Request
 	// Endpoints are pre-connected workers. A dead endpoint stays dead —
 	// the fleet has no way to re-establish it.
@@ -500,7 +499,6 @@ func (f *Fleet) Run(ctx context.Context, plan *sweep.Plan, onCell func(sweep.Cel
 			}
 		}(i, w.gen, ep)
 		req := f.Req
-		req.Shard, req.Shards = 0, 0
 		w.send <- Command{Open: &req}
 	}
 	for i, w := range workers {

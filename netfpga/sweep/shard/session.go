@@ -6,19 +6,17 @@ import (
 	"repro/netfpga/sweep"
 )
 
-// The session protocol is the dynamic successor to the one-shot
-// Request/Frame exchange above: instead of a static partition fixed at
-// spawn time, the coordinator opens a session, assigns cells in chunks
-// as workers drain them, and the stream stays open in both directions —
-// which is what makes death recovery (requeue what a dead worker still
-// owed) and checkpoint migration (park a running device on one worker,
-// resume it on another) possible. Both transports — stdin/stdout pipes
-// to a spawned subprocess and a TCP connection to a remote
-// `nf-bench shard-worker -listen` — carry exactly these frames.
+// The session protocol: the coordinator opens a session, assigns cells
+// in chunks as workers drain them, and the stream stays open in both
+// directions — which is what makes death recovery (requeue what a dead
+// worker still owed) and checkpoint migration (park a running device on
+// one worker, resume it on another) possible. Both transports —
+// stdin/stdout pipes to a spawned subprocess and a TCP connection to a
+// remote `nf-bench shard-worker -listen` — carry exactly these frames.
 //
 // Coordinator -> worker, each as one Command frame:
 //
-//	Open    start a session: plan this config (full, unsharded)
+//	Open    start a session: plan this config
 //	Assign  execute these cells, streaming a Cell frame per completion
 //	Resume  adopt a migrated checkpoint: replay, verify, finish the cell
 //	Steal   park one in-flight cell at its next yield and ship it back

@@ -1,22 +1,19 @@
 // Package shard is the multi-process execution backend for scenario
-// sweeps: a coordinator partitions a compiled sweep plan by canonical
-// cell key (sweep.ShardOf), runs each partition in its own OS process,
-// and merges the streamed cell records back into one result set with
+// sweeps: a coordinator (Fleet) opens sessions on worker processes —
+// local subprocesses over stdin/stdout, remote workers over TCP, or
+// both — assigns them the plan's cells in chunks as they drain, and
+// merges the streamed cell records back into one result set with
 // digests byte-identical to a single-process run.
 //
-// The wire protocol is deliberately minimal: length-prefixed JSON
-// frames over the worker's stdin/stdout. The coordinator writes exactly
-// one Request frame; the worker answers with one Frame per executed
-// cell (completion order) followed by a final Done frame, or an Err
-// frame if it cannot run at all. Anything a worker prints to stderr
-// passes through untouched for debugging.
+// The wire protocol is length-prefixed JSON frames (see session.go for
+// the message set). Anything a worker prints to stderr passes through
+// untouched for debugging.
 //
 // Determinism is inherited, not negotiated: cell seeds derive from
-// (base seed, canonical key) and shard membership is a pure function of
-// the key, so the records a worker produces are byte-identical to what
-// the same cells produce in-process — the coordinator recomputes every
-// digest from the received content and refuses records that do not
-// survive the wire.
+// (base seed, canonical key), so the records a worker produces are
+// byte-identical to what the same cells produce in-process whichever
+// worker runs them — the coordinator recomputes every digest from the
+// received content and refuses records that do not survive the wire.
 package shard
 
 import (
@@ -58,9 +55,8 @@ func (e *FrameError) Unwrap() error { return e.Err }
 // MaxFrame.
 var ErrFrameTooLarge = errors.New("frame length exceeds limit")
 
-// Request is the coordinator's one instruction to a worker: which
-// config to plan, how to filter and seed it, which partition to run,
-// and how to execute it locally.
+// Request is the session's Open command: which config to plan, how to
+// filter and seed it, and how to execute assigned cells locally.
 type Request struct {
 	// Config is the sweep config file path (the worker re-plans it
 	// independently; plans are pure functions of config+filter+seed).
@@ -69,10 +65,6 @@ type Request struct {
 	Filter string `json:"filter,omitempty"`
 	// Seed is the base seed cell seeds derive from.
 	Seed uint64 `json:"seed"`
-	// Shard/Shards select the partition: cells with
-	// sweep.ShardOf(key, Shards) == Shard.
-	Shard  int `json:"shard"`
-	Shards int `json:"shards"`
 	// Workers, ClockBatch, FrameBurst, Segment and SegmentBudget
 	// configure the worker's local pool (fleet.Runner semantics).
 	Workers       int    `json:"workers,omitempty"`
@@ -84,23 +76,12 @@ type Request struct {
 	// ("full"/"hybrid"; "" = full). Cells whose spec carries a
 	// fidelity axis win, exactly as in-process.
 	Fidelity string `json:"fidelity,omitempty"`
-	// Elastic runs the worker's cells on the elastic backend instead
-	// of a fixed pool (Workers then caps growth).
-	Elastic bool `json:"elastic,omitempty"`
 }
 
-// Done is a worker's final frame: how many cells it executed.
-type Done struct {
-	Cells int `json:"cells"`
-}
-
-// Frame is the worker-to-coordinator envelope: exactly one field set —
-// a cell record, the final Done marker, or a fatal worker error.
-type Frame struct {
-	Cell *sweep.CellRecord `json:"cell,omitempty"`
-	Done *Done             `json:"done,omitempty"`
-	Err  string            `json:"err,omitempty"`
-}
+// PlanFunc resolves a request's config/filter/seed into the full sweep
+// plan. cmd/nf-bench supplies the resolver that knows about the
+// experiment registry; tests supply their own.
+type PlanFunc func(req Request) (*sweep.Plan, error)
 
 // WriteFrame marshals v and writes it as one length-prefixed frame.
 func WriteFrame(w io.Writer, v any) error {

@@ -3,12 +3,12 @@ package shard
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"os"
-	"os/exec"
+	"reflect"
 	"strings"
-	"sync"
 	"testing"
 
 	"repro/netfpga/fleet"
@@ -16,18 +16,10 @@ import (
 	"repro/netfpga/workload"
 )
 
-// TestMain re-execs the test binary as a shard worker when the
-// environment asks for it — the same two-OS-process wiring the
-// executor golden test and cmd/nf-bench use.
+// TestMain re-execs the test binary as a stdio session worker when the
+// environment asks for it — the same two-OS-process wiring the fleet
+// golden tests and cmd/nf-bench use.
 func TestMain(m *testing.M) {
-	if os.Getenv("NF_SHARD_WORKER") == "1" {
-		err := Serve(context.Background(), os.Stdin, os.Stdout, testPlan)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		os.Exit(0)
-	}
 	if os.Getenv("NF_SHARD_SESSION") == "1" {
 		err := ServeSession(context.Background(), os.Stdin, os.Stdout, testPlan)
 		if err != nil {
@@ -67,47 +59,6 @@ func testGroup() sweep.Group {
 	}
 }
 
-// pipeProc runs Serve on an in-process goroutine over plain pipes — the
-// protocol exercised end to end without process spawn cost.
-func pipeProc(t *testing.T, planFor PlanFunc) Spawn {
-	return func(shard int) (*Proc, error) {
-		reqR, reqW := io.Pipe()
-		outR, outW := io.Pipe()
-		done := make(chan error, 1)
-		go func() {
-			err := Serve(context.Background(), reqR, outW, planFor)
-			outW.CloseWithError(io.EOF)
-			done <- err
-		}()
-		return &Proc{In: reqW, Out: outR, Wait: func() error { return <-done }}, nil
-	}
-}
-
-// execProc spawns the test binary itself as a worker subprocess.
-func execProc(t *testing.T) Spawn {
-	exe, err := os.Executable()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return func(shard int) (*Proc, error) {
-		cmd := exec.Command(exe)
-		cmd.Env = append(os.Environ(), "NF_SHARD_WORKER=1")
-		cmd.Stderr = os.Stderr
-		in, err := cmd.StdinPipe()
-		if err != nil {
-			return nil, err
-		}
-		out, err := cmd.StdoutPipe()
-		if err != nil {
-			return nil, err
-		}
-		if err := cmd.Start(); err != nil {
-			return nil, err
-		}
-		return &Proc{In: in, Out: out, Wait: cmd.Wait, Kill: cmd.Process.Kill}, nil
-	}
-}
-
 // fullRun executes the test matrix in-process as the reference.
 func fullRun(t *testing.T) *sweep.Results {
 	t.Helper()
@@ -136,58 +87,9 @@ func checkMatches(t *testing.T, want, got *sweep.Results) {
 	}
 }
 
-// TestCoordinatorPipes: the full protocol over in-process pipes at
-// several shard counts, including shards that own zero cells.
-func TestCoordinatorPipes(t *testing.T) {
-	want := fullRun(t)
-	for _, shards := range []int{1, 2, 3, 16} {
-		var streamed int
-		co := &Coordinator{
-			Shards: shards,
-			Req:    Request{Config: "matrix", Workers: 2},
-			Spawn:  pipeProc(t, testPlan),
-		}
-		plan, err := sweep.PlanGroups([]sweep.Group{testGroup()}, "", 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rs, err := co.Run(context.Background(), plan, func(sweep.CellResult) { streamed++ })
-		if err != nil {
-			t.Fatalf("shards=%d: %v", shards, err)
-		}
-		if streamed != len(want.Cells) {
-			t.Errorf("shards=%d: streamed %d cells, want %d", shards, streamed, len(want.Cells))
-		}
-		checkMatches(t, want, rs)
-	}
-}
-
-// TestCoordinatorProcesses: the same equivalence across real OS
-// process boundaries — the worker is this test binary re-exec'd.
-func TestCoordinatorProcesses(t *testing.T) {
-	if testing.Short() {
-		t.Skip("process fan-out is slow")
-	}
-	want := fullRun(t)
-	co := &Coordinator{
-		Shards: 2,
-		Req:    Request{Config: "matrix", Workers: 2},
-		Spawn:  execProc(t),
-	}
-	plan, err := sweep.PlanGroups([]sweep.Group{testGroup()}, "", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rs, err := co.Run(context.Background(), plan, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkMatches(t, want, rs)
-}
-
-// TestWorkerFilterAndSeed: the worker honours filter and seed from the
-// request — a filtered, reseeded shard run matches the equivalent
-// in-process run.
+// TestWorkerFilterAndSeed: session workers honour filter and seed from
+// the Open request — a filtered, reseeded fleet run matches the
+// equivalent in-process run.
 func TestWorkerFilterAndSeed(t *testing.T) {
 	ref, err := sweep.RunGroups(context.Background(),
 		&fleet.Runner{Workers: 2, BaseSeed: 99}, []sweep.Group{testGroup()}, "wl=min")
@@ -198,137 +100,80 @@ func TestWorkerFilterAndSeed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	co := &Coordinator{
-		Shards: 2,
-		Req:    Request{Config: "matrix", Filter: "wl=min", Seed: 99, Workers: 1, Elastic: true},
-		Spawn:  pipeProc(t, testPlan),
+	f := &Fleet{
+		Req:       Request{Config: "matrix", Filter: "wl=min", Seed: 99, Workers: 1},
+		Endpoints: pipeFleet(context.Background(), 2),
 	}
-	rs, err := co.Run(context.Background(), plan, nil)
+	rs, _, err := f.Run(context.Background(), plan, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkMatches(t, ref, rs)
 }
 
-// TestPartialShardFailure: a worker dying mid-stream fails the run with
-// the dead shard named, while surviving shards' cells still stream to
-// onCell (the partial harvest the store persists).
+// TestPartialShardFailure: a fleet whose only worker dies mid-stream,
+// with no fallback, fails with the typed *FleetDownError — while every
+// cell the worker delivered before dying still streamed to onCell (the
+// partial harvest the store persists).
 func TestPartialShardFailure(t *testing.T) {
-	plan, err := sweep.PlanGroups([]sweep.Group{testGroup()}, "", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dieAfter := 1 // frames shard 1 emits before "crashing"
-	spawn := func(shard int) (*Proc, error) {
-		if shard != 1 {
-			return pipeProc(t, testPlan)(shard)
-		}
-		reqR, reqW := io.Pipe()
-		outR, outW := io.Pipe()
-		go func() {
-			var buf bytes.Buffer
-			_ = Serve(context.Background(), reqR, &buf, testPlan)
-			// Replay only the first dieAfter frames, then cut the pipe
-			// — a worker crash mid-stream as the coordinator sees it.
-			var f Frame
-			for i := 0; i < dieAfter; i++ {
-				if err := ReadFrame(&buf, &f); err != nil {
-					break
-				}
-				_ = WriteFrame(outW, f)
+	const dieAfter = 1 // cells the worker delivers before "crashing"
+	inner := PipeWorker(context.Background(), "victim", testPlan)
+	delivered := 0
+	dying := mitmEndpoint(inner, func(fr SessionFrame) []SessionFrame {
+		if fr.Cell != nil {
+			if delivered == dieAfter {
+				_ = inner.Kill()
+				return nil
 			}
-			outW.CloseWithError(io.EOF)
-		}()
-		return &Proc{In: reqW, Out: outR, Wait: func() error { return nil }}, nil
-	}
-
-	var mu sync.Mutex
-	var streamed []string
-	co := &Coordinator{Shards: 2, Req: Request{Config: "matrix", Workers: 2}, Spawn: spawn}
-	rs, err := co.Run(context.Background(), plan, func(cr sweep.CellResult) {
-		mu.Lock()
-		streamed = append(streamed, cr.Cell.Key)
-		mu.Unlock()
+			delivered++
+		}
+		return []SessionFrame{fr}
 	})
-	if err == nil {
-		t.Fatal("partial shard failure did not fail the run")
+	var streamed []string
+	f := &Fleet{Req: Request{Config: "matrix", Workers: 1}, Endpoints: []*Endpoint{dying}}
+	rs, _, err := f.Run(context.Background(), sessionPlan(t), func(cr sweep.CellResult) {
+		streamed = append(streamed, cr.Cell.Key)
+	})
+	var fd *FleetDownError
+	if !errors.As(err, &fd) {
+		t.Fatalf("dead fleet did not fail with *FleetDownError: %v", err)
 	}
 	if rs != nil {
 		t.Fatal("failed run returned results")
 	}
-	if !strings.Contains(err.Error(), "shard 1/2") {
-		t.Errorf("error does not name the dead shard: %v", err)
-	}
-	// The healthy shard's cells (and the crashed shard's pre-crash
-	// frames) were still harvested.
-	healthy := len(plan.Shard(0, 2).Cells)
-	if len(streamed) < healthy {
-		t.Errorf("streamed only %d cells, healthy shard alone owns %d", len(streamed), healthy)
+	if len(streamed) != dieAfter || fd.Merged != dieAfter || fd.Total <= dieAfter {
+		t.Errorf("partial harvest: streamed %d, merged %d of %d, want %d streamed and merged",
+			len(streamed), fd.Merged, fd.Total, dieAfter)
 	}
 }
 
-// TestTamperedRecordRejected: a record whose content was altered in
-// flight (digest no longer reproducible) fails the merge.
-func TestTamperedRecordRejected(t *testing.T) {
-	plan, err := sweep.PlanGroups([]sweep.Group{testGroup()}, "", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	spawn := func(shard int) (*Proc, error) {
-		reqR, reqW := io.Pipe()
-		outR, outW := io.Pipe()
-		go func() {
-			var buf bytes.Buffer
-			_ = Serve(context.Background(), reqR, &buf, testPlan)
-			for {
-				var f Frame
-				if err := ReadFrame(&buf, &f); err != nil {
-					break
-				}
-				if f.Cell != nil && shard == 0 {
-					f.Cell.Events++ // corrupt one field in flight
-				}
-				_ = WriteFrame(outW, f)
-				if f.Done != nil {
-					break
-				}
-			}
-			outW.CloseWithError(io.EOF)
-		}()
-		return &Proc{In: reqW, Out: outR, Wait: func() error { return nil }}, nil
-	}
-	co := &Coordinator{Shards: 2, Req: Request{Config: "matrix", Workers: 1}, Spawn: spawn}
-	_, err = co.Run(context.Background(), plan, nil)
-	if err == nil || !strings.Contains(err.Error(), "survive the wire") {
-		t.Fatalf("tampered record not rejected: %v", err)
-	}
-}
-
-// TestFrameRoundTrip: the length-prefixed framing survives arbitrary
-// message mixes and rejects oversized frames.
+// TestFrameRoundTrip: the length-prefixed framing carries the worker's
+// session envelopes intact, ends with a clean io.EOF between frames, and
+// rejects an oversized length prefix before allocating.
 func TestFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	msgs := []Frame{
+	msgs := []SessionFrame{
+		{Hello: &Hello{Cells: 8, Workers: 2}},
 		{Cell: &sweep.CellRecord{Key: "a/b=1", Seed: 7, Digest: "d",
 			Values: map[string]float64{"x": 1.5}, Labels: map[string]string{"l": "v"}}},
 		{Err: "boom"},
-		{Done: &Done{Cells: 2}},
+		{Done: &SessionDone{Cells: 1}},
 	}
 	for _, m := range msgs {
 		if err := WriteFrame(&buf, m); err != nil {
 			t.Fatal(err)
 		}
 	}
-	for i := range msgs {
-		var f Frame
+	for i, want := range msgs {
+		var f SessionFrame
 		if err := ReadFrame(&buf, &f); err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
-		if fmt.Sprintf("%+v", f) == "" {
-			t.Fatal("empty frame")
+		if !reflect.DeepEqual(f, want) {
+			t.Fatalf("frame %d: got %+v, want %+v", i, f, want)
 		}
 	}
-	var f Frame
+	var f SessionFrame
 	if err := ReadFrame(&buf, &f); err != io.EOF {
 		t.Fatalf("want io.EOF at stream end, got %v", err)
 	}
@@ -336,21 +181,5 @@ func TestFrameRoundTrip(t *testing.T) {
 	bad := bytes.NewReader([]byte{0xff, 0xff, 0xff, 0xff, 0x00})
 	if err := ReadFrame(bad, &f); err == nil || !strings.Contains(err.Error(), "exceeds limit") {
 		t.Fatalf("oversized frame accepted: %v", err)
-	}
-}
-
-// TestServeRejectsBadPartition: invalid shard indices produce an Err
-// frame, not a hang.
-func TestServeRejectsBadPartition(t *testing.T) {
-	var in, out bytes.Buffer
-	if err := WriteFrame(&in, Request{Config: "matrix", Shard: 3, Shards: 2}); err != nil {
-		t.Fatal(err)
-	}
-	if err := Serve(context.Background(), &in, &out, testPlan); err == nil {
-		t.Fatal("invalid partition accepted")
-	}
-	var f Frame
-	if err := ReadFrame(&out, &f); err != nil || f.Err == "" {
-		t.Fatalf("no Err frame written: %+v err=%v", f, err)
 	}
 }

@@ -328,64 +328,10 @@ func TestConfigAndGoldenRoundTrip(t *testing.T) {
 	}
 }
 
-// TestPlanShardPartition: ShardOf is a pure function of the key, every
-// cell lands in exactly one shard, and sub-plans preserve expansion
-// order and group structure.
-func TestPlanShardPartition(t *testing.T) {
-	groups := []Group{matrixGroup(40)}
-	p, err := PlanGroups(groups, "", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(p.Cells) != 8 {
-		t.Fatalf("plan has %d cells, want 8", len(p.Cells))
-	}
-	for _, n := range []int{1, 2, 3, 5} {
-		var union []string
-		counts := map[string]int{}
-		for i := 0; i < n; i++ {
-			sub := p.Shard(i, n)
-			for _, c := range sub.Cells {
-				if ShardOf(c.Key, n) != i {
-					t.Errorf("n=%d: cell %s landed in shard %d, ShardOf says %d",
-						n, c.Key, i, ShardOf(c.Key, n))
-				}
-				counts[c.Key]++
-				union = append(union, c.Key)
-			}
-		}
-		if len(union) != len(p.Cells) {
-			t.Errorf("n=%d: shards cover %d cells, plan has %d", n, len(union), len(p.Cells))
-		}
-		for k, c := range counts {
-			if c != 1 {
-				t.Errorf("n=%d: cell %s appears in %d shards", n, k, c)
-			}
-		}
-	}
-	// A 2-way split must actually split (FNV over these keys cannot
-	// degenerate to one side without this test noticing).
-	a, b := p.Shard(0, 2), p.Shard(1, 2)
-	if len(a.Cells) == 0 || len(b.Cells) == 0 {
-		t.Errorf("degenerate 2-way split: %d / %d", len(a.Cells), len(b.Cells))
-	}
-	// Shard order is a subsequence of expansion order.
-	idx := map[string]int{}
-	for i, c := range p.Cells {
-		idx[c.Key] = i
-	}
-	last := -1
-	for _, c := range a.Cells {
-		if idx[c.Key] < last {
-			t.Fatalf("shard broke expansion order at %s", c.Key)
-		}
-		last = idx[c.Key]
-	}
-}
-
-// TestMergerRoundTrip: executing a plan's shards separately and merging
-// the flat records reproduces the single-run result set digest for
-// digest — the in-process model of the multi-process shard backend.
+// TestMergerRoundTrip: executing a plan's cells in two separate halves
+// (split by index parity) and merging the flat records reproduces the
+// single-run result set digest for digest — the in-process model of the
+// multi-process shard backend.
 func TestMergerRoundTrip(t *testing.T) {
 	groups := []Group{matrixGroup(40)}
 	p, err := PlanGroups(groups, "", 0)
@@ -397,17 +343,17 @@ func TestMergerRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// The odd half merges first, so records arrive out of expansion
+	// order.
 	m := p.Merger()
-	const n = 3
-	for i := 0; i < n; i++ {
-		sub := p.Shard(i, n)
-		ch, _, err := sub.Execute(context.Background(), fleet.New(2))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for cr := range ch {
-			if _, err := m.Place(cr.Record()); err != nil {
-				t.Fatalf("place %s: %v", cr.Cell.Key, err)
+	for _, parity := range []int{1, 0} {
+		for i := parity; i < len(p.Cells); i += 2 {
+			cr, err := p.RunCell(context.Background(), p.Cells[i].Key, 0, 0, "", nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, dup, err := m.Adopt(cr.Record()); err != nil || dup {
+				t.Fatalf("adopt %s: dup=%v err=%v", cr.Cell.Key, dup, err)
 			}
 		}
 	}
@@ -436,8 +382,8 @@ func TestMergerRoundTrip(t *testing.T) {
 	}
 }
 
-// TestMergerRejects: unknown keys, duplicates, tampered digests, and
-// incomplete merges all fail loudly.
+// TestMergerRejects: unknown keys, tampered records, and incomplete
+// merges all fail loudly.
 func TestMergerRejects(t *testing.T) {
 	p, err := PlanGroups([]Group{matrixGroup(40)}, "", 0)
 	if err != nil {
@@ -453,18 +399,15 @@ func TestMergerRejects(t *testing.T) {
 	}
 
 	m := p.Merger()
-	if _, err := m.Place(CellRecord{Key: "nope", Digest: "x"}); err == nil {
+	if _, _, err := m.Adopt(CellRecord{Key: "nope", Digest: "x"}); err == nil {
 		t.Error("unknown key accepted")
 	}
-	if _, err := m.Place(recs[0]); err != nil {
+	if _, _, err := m.Adopt(recs[0]); err != nil {
 		t.Fatal(err)
-	}
-	if _, err := m.Place(recs[0]); err == nil {
-		t.Error("duplicate record accepted")
 	}
 	bad := recs[1]
 	bad.Events++ // content no longer matches the transmitted digest
-	if _, err := m.Place(bad); err == nil {
+	if _, _, err := m.Adopt(bad); err == nil {
 		t.Error("tampered record accepted")
 	}
 	if _, err := m.Results(); err == nil {
@@ -531,8 +474,9 @@ func TestRunCellMatchesBatch(t *testing.T) {
 
 // TestMergerAdopt: Adopt tolerates the exact duplicate a recovering
 // fleet produces (requeued cell racing its dead sender's in-flight
-// result) but still rejects diverging completions and everything Place
-// rejects.
+// result) but still rejects diverging completions, and on fresh cells
+// it enforces the integrity checks: tampered content, a missing digest,
+// an unknown key.
 func TestMergerAdopt(t *testing.T) {
 	p, err := PlanGroups([]Group{matrixGroup(40)}, "", 0)
 	if err != nil {
@@ -570,11 +514,16 @@ func TestMergerAdopt(t *testing.T) {
 	if _, _, err := m.Adopt(div); err == nil || !strings.Contains(err.Error(), "diverging") {
 		t.Errorf("diverging duplicate: err=%v, want diverging-digest error", err)
 	}
-	// Adopt still enforces Place's integrity checks on fresh cells.
+	// Fresh cells must survive the wire-integrity checks.
 	bad := recs[1]
 	bad.Events++
 	if _, _, err := m.Adopt(bad); err == nil {
 		t.Error("tampered fresh record adopted")
+	}
+	unstamped := recs[1]
+	unstamped.Digest = ""
+	if _, _, err := m.Adopt(unstamped); err == nil || !strings.Contains(err.Error(), "no digest") {
+		t.Errorf("digestless fresh record: err=%v, want no-digest error", err)
 	}
 	if _, _, err := m.Adopt(CellRecord{Key: "nope", Digest: "x"}); err == nil {
 		t.Error("unknown key adopted")
