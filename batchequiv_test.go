@@ -1,8 +1,9 @@
 // Batched-vs-unbatched equivalence at device level: the reference switch
 // under seeded IMIX load must produce byte-identical counters, event
-// counts and captured frames for every clock batch size. This is the
-// device-scale companion of internal/sim's trace-equivalence tests, and
-// the invariant the fleet's determinism contract relies on.
+// counts, per-module tick counts and captured frames for every clock
+// batch size. This is the device-scale companion of internal/sim's
+// trace-equivalence tests, and the invariant the fleet's determinism
+// contract relies on.
 package repro
 
 import (
@@ -17,12 +18,15 @@ import (
 )
 
 // runSwitchIMIX drives one reference switch with deterministic IMIX
-// traffic at the given clock batch size and returns its full counter
-// snapshot plus everything the taps captured.
-func runSwitchIMIX(t *testing.T, clockBatch, frameBurst int) (map[string]uint64, []netfpga.RxFrame) {
+// traffic at the given clock batch size (0 = sim.DefaultBatch) and
+// returns its full counter snapshot, per-module tick counts and
+// everything the taps captured.
+func runSwitchIMIX(t *testing.T, batch int) (map[string]uint64, map[string]uint64, []netfpga.RxFrame) {
 	t.Helper()
-	dev := netfpga.NewDevice(netfpga.SUME(),
-		netfpga.Options{ClockBatch: clockBatch, FrameBurst: frameBurst})
+	dev := netfpga.NewDevice(netfpga.SUME(), netfpga.Options{})
+	if batch > 0 {
+		dev.Clock.SetBatch(batch)
+	}
 	if err := switchp.New(switchp.Config{}).Build(dev); err != nil {
 		t.Fatal(err)
 	}
@@ -45,46 +49,41 @@ func runSwitchIMIX(t *testing.T, clockBatch, frameBurst int) (map[string]uint64,
 	for _, tp := range taps {
 		rx = append(rx, tp.Received()...)
 	}
-	return dev.Snapshot(), rx
+	return dev.Snapshot(), dev.Dsn.ModuleTicks(), rx
 }
 
 func TestDeviceBatchEquivalence(t *testing.T) {
-	refSnap, refRx := runSwitchIMIX(t, 1, 1)
+	refSnap, refTicks, refRx := runSwitchIMIX(t, 1)
 	if refSnap["sim.events"] == 0 || len(refRx) == 0 {
 		t.Fatal("reference run did nothing")
 	}
-	check := func(t *testing.T, clockBatch, frameBurst int) {
-		snap, rx := runSwitchIMIX(t, clockBatch, frameBurst)
-		if len(snap) != len(refSnap) {
-			t.Fatalf("snapshot has %d counters, want %d", len(snap), len(refSnap))
-		}
-		for k, want := range refSnap {
-			if got := snap[k]; got != want {
-				t.Errorf("counter %s = %d, want %d", k, got, want)
-			}
-		}
-		if len(rx) != len(refRx) {
-			t.Fatalf("captured %d frames, want %d", len(rx), len(refRx))
-		}
-		for i := range rx {
-			if rx[i].At != refRx[i].At || !bytes.Equal(rx[i].Data, refRx[i].Data) {
-				t.Fatalf("captured frame %d differs (at %d vs %d)", i, rx[i].At, refRx[i].At)
-			}
-		}
-	}
 	for _, batch := range []int{2, 16, 0 /* DefaultBatch */, 512} {
 		t.Run(fmt.Sprintf("batch=%d", batch), func(t *testing.T) {
-			check(t, batch, 1)
-		})
-	}
-	// Frame-burst windows compose with clock batching; every combination
-	// must reproduce the unbatched, unbursted run exactly.
-	for _, burst := range []int{8, 64, 0 /* adaptive */} {
-		t.Run(fmt.Sprintf("burst=%d", burst), func(t *testing.T) {
-			check(t, 1, burst)
-		})
-		t.Run(fmt.Sprintf("batch=0/burst=%d", burst), func(t *testing.T) {
-			check(t, 0, burst)
+			snap, ticks, rx := runSwitchIMIX(t, batch)
+			if len(snap) != len(refSnap) {
+				t.Fatalf("snapshot has %d counters, want %d", len(snap), len(refSnap))
+			}
+			for k, want := range refSnap {
+				if got := snap[k]; got != want {
+					t.Errorf("counter %s = %d, want %d", k, got, want)
+				}
+			}
+			if len(ticks) != len(refTicks) {
+				t.Fatalf("tick counts cover %d modules, want %d", len(ticks), len(refTicks))
+			}
+			for m, want := range refTicks {
+				if got := ticks[m]; got != want {
+					t.Errorf("module %s ticked %d cycles, want %d", m, got, want)
+				}
+			}
+			if len(rx) != len(refRx) {
+				t.Fatalf("captured %d frames, want %d", len(rx), len(refRx))
+			}
+			for i := range rx {
+				if rx[i].At != refRx[i].At || !bytes.Equal(rx[i].Data, refRx[i].Data) {
+					t.Fatalf("captured frame %d differs (at %d vs %d)", i, rx[i].At, refRx[i].At)
+				}
+			}
 		})
 	}
 }

@@ -364,9 +364,9 @@ func BenchmarkMulticastFlood(b *testing.B) {
 
 func BenchmarkDatapathBurst10G(b *testing.B) {
 	// Full-size frames through the reference switch with counting taps:
-	// the workload where frame-burst batching pays most — a 1514-byte
-	// frame is 48 bus beats, so the datapath clock spends long windows
-	// inside one frame where every module's per-edge decision repeats.
+	// the longest busy stretches per frame — a 1514-byte frame is 48 bus
+	// beats, so the datapath clock runs long per-edge Tick runs inside
+	// one frame and clock batching amortises the event cost most.
 	dev := netfpga.NewDevice(netfpga.SUME(), netfpga.Options{})
 	p := switchp.New(switchp.Config{})
 	if err := p.Build(dev); err != nil {

@@ -22,8 +22,7 @@
 //
 // Determinism contract: -parallel produces byte-identical tables to the
 // sequential run — devices are independent and per-device seeds are
-// derived from (-seed, job index), never from scheduling — and
-// byte-identical results for every clock batch size (-batch), which the
+// derived from (-seed, job index), never from scheduling — which the
 // fleet demo verifies on every -parallel run.
 //
 // -json records every experiment's metrics and wall-clock timings as
@@ -67,8 +66,6 @@ func main() {
 	parallel := flag.Bool("parallel", false, "run device batches through the fleet worker pool and report speedup vs sequential")
 	workers := flag.Int("workers", 0, "fleet worker count for -parallel (0 = GOMAXPROCS)")
 	seed := flag.Uint64("seed", 0, "base seed for per-device RNG derivation")
-	batch := flag.Int("batch", 0, "datapath clock batch size (0 = engine default, 1 = unbatched)")
-	burst := flag.String("burst", "adaptive", "vectorized frame-burst window: adaptive, off, or a max cycles-per-window cap (results identical in every mode)")
 	segment := flag.String("segment", "auto", "segment scheduler: auto, off, or an events-per-segment budget (results identical in every mode)")
 	fidelity := flag.String("fidelity", "full", "execution fidelity: full (cycle-accurate everywhere) or hybrid (background-tagged flows run the analytic model; results differ from full by design)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -97,12 +94,11 @@ func main() {
 	}
 
 	segOn, segBudget := parseSegment(*segment)
-	burstN := parseBurst(*burst)
 	fid := parseFidelity(*fidelity)
 	stopProf := startProfiles(*cpuprofile, *memprofile)
 	defer stopProf()
 	mkExec := func(w int) fleet.Executor {
-		return buildExecutor(w, *seed, *batch, burstN, segOn, segBudget, fid)
+		return buildExecutor(w, *seed, segOn, segBudget, fid)
 	}
 	store := ""
 	if !*noStore {
@@ -124,8 +120,7 @@ func main() {
 	// Sequential reference pass first (tables discarded — they are
 	// byte-identical to the parallel pass by the fleet's determinism
 	// contract), then the parallel pass that prints.
-	seqWalls, _, _ := runSuite(todo, &fleet.Runner{Workers: 1, BaseSeed: *seed,
-		ClockBatch: *batch, FrameBurst: burstN, Fidelity: fid}, io.Discard)
+	seqWalls, _, _ := runSuite(todo, &fleet.Runner{Workers: 1, BaseSeed: *seed, Fidelity: fid}, io.Discard)
 	parWalls, parTables, parFrames := runSuite(todo, mkExec(w), os.Stdout)
 
 	fmt.Printf("==== fleet speedup (%d workers, GOMAXPROCS=%d) ====\n\n", w, runtime.GOMAXPROCS(0))
@@ -146,40 +141,20 @@ func main() {
 		writeJSON(*jsonPath, todo, parWalls, parTables, parFrames, w, *seed, store)
 	}
 
-	fleetDemo(w, *seed, *batch, burstN)
+	fleetDemo(w, *seed)
 	if !segOn {
 		fmt.Println("tail-heavy demo skipped (-segment off)")
 		return
 	}
-	tailDemo(w, *seed, *batch, burstN, segBudget)
-}
-
-// parseBurst maps the -burst flag: "adaptive" sizes vectorized windows
-// from module state alone, "off" forces per-cycle ticking, and a number
-// caps windows at that many cycles. Results are identical in every
-// mode.
-func parseBurst(v string) int {
-	switch v {
-	case "adaptive", "":
-		return 0
-	case "off":
-		return 1
-	}
-	n, err := strconv.Atoi(v)
-	if err != nil || n < 1 {
-		fmt.Fprintf(os.Stderr, "nf-bench: -burst must be adaptive, off, or a positive window cap (got %q)\n", v)
-		os.Exit(2)
-	}
-	return n
+	tailDemo(w, *seed, segBudget)
 }
 
 // buildExecutor constructs the local execution pool from the shared CLI
 // knobs — the one place the main and sweep modes agree on what they
 // mean.
-func buildExecutor(w int, seed uint64, batch, burst int, segOn bool, segBudget uint64, fid string) *fleet.Runner {
-	return &fleet.Runner{Workers: w, BaseSeed: seed, ClockBatch: batch,
-		FrameBurst: burst, Segment: segOn, SegmentBudget: segBudget,
-		Fidelity: fid}
+func buildExecutor(w int, seed uint64, segOn bool, segBudget uint64, fid string) *fleet.Runner {
+	return &fleet.Runner{Workers: w, BaseSeed: seed, Segment: segOn,
+		SegmentBudget: segBudget, Fidelity: fid}
 }
 
 // parseFidelity maps the -fidelity flag: "full" is the cycle-accurate
@@ -444,45 +419,26 @@ func sameResult(a, b fleet.Result) bool {
 
 // fleetDemo runs the canonical 8-device suite — eight independent
 // reference-switch devices under seeded IMIX load for a fixed simulated
-// window — once on one worker and once on the pool, then once more
-// fully unbatched (clock batch 1) and once with the frame-burst window
-// flipped, verifying all four produce byte-identical per-device
-// results: the end-to-end gate for the fleet's scheduling determinism,
-// the clock engine's batching equivalence, and the vectorized
-// TickBatch equivalence.
-func fleetDemo(workers int, seed uint64, batch, burst int) {
+// window — once on one worker and once on the pool, verifying both
+// produce byte-identical per-device results: the end-to-end gate for
+// the fleet's scheduling determinism.
+func fleetDemo(workers int, seed uint64) {
 	const devices = 8
-	mkJobs := func() []fleet.Job {
-		return experiments.SwitchFleetJobs(devices, 200*netfpga.Microsecond)
-	}
-	run := func(w, clockBatch, frameBurst int) ([]fleet.Result, time.Duration) {
+	run := func(w int) ([]fleet.Result, time.Duration) {
 		start := time.Now()
-		res := (&fleet.Runner{Workers: w, BaseSeed: seed, ClockBatch: clockBatch,
-			FrameBurst: frameBurst}).RunAll(context.Background(), mkJobs())
+		res := (&fleet.Runner{Workers: w, BaseSeed: seed}).RunAll(context.Background(),
+			experiments.SwitchFleetJobs(devices, 200*netfpga.Microsecond))
 		return res, time.Since(start)
 	}
-	seqRes, seqWall := run(1, batch, burst)
-	parRes, parWall := run(workers, batch, burst)
-	// The equivalence runs must use genuinely different knob values:
-	// fully unbatched / per-cycle normally, the engine defaults when the
-	// main run already is (-batch 1 / -burst off).
-	altBatch := 1
-	if batch == 1 {
-		altBatch = 0
-	}
-	unbatchedRes, _ := run(workers, altBatch, burst)
-	altBurst := 1
-	if burst == 1 {
-		altBurst = 0
-	}
-	unburstRes, _ := run(workers, batch, altBurst)
+	seqRes, seqWall := run(1)
+	parRes, parWall := run(workers)
 
 	fmt.Printf("==== fleet demo: %d reference-switch devices, IMIX at line rate ====\n\n", devices)
 	fmt.Printf("%-9s %-18s %12s %10s\n", "device", "result", "sim events", "status")
 	identical, failed := true, false
 	for i := range seqRes {
 		status := "ok"
-		for _, r := range []fleet.Result{seqRes[i], parRes[i], unbatchedRes[i], unburstRes[i]} {
+		for _, r := range []fleet.Result{seqRes[i], parRes[i]} {
 			if r.Err != nil {
 				failed = true
 				status = "ERR " + r.Err.Error()
@@ -492,17 +448,9 @@ func fleetDemo(workers int, seed uint64, batch, burst int) {
 			identical = false
 			status = "DIVERGED(par)"
 		}
-		if !sameResult(seqRes[i], unbatchedRes[i]) {
-			identical = false
-			status = "DIVERGED(batch)"
-		}
-		if !sameResult(seqRes[i], unburstRes[i]) {
-			identical = false
-			status = "DIVERGED(burst)"
-		}
 		fmt.Printf("%-9s %-18v %12d %10s\n", seqRes[i].Name, parRes[i].Value, parRes[i].Events, status)
 	}
-	match := "byte-identical (across workers, batch sizes and burst windows)"
+	match := "byte-identical (across workers)"
 	if !identical {
 		match = "MISMATCH (determinism bug)"
 	}
@@ -525,11 +473,11 @@ func fleetDemo(workers int, seed uint64, batch, burst int) {
 // jobs is exactly what segmentation removes, so on a machine with as
 // many cores as workers the segmented run lands near
 // max(long cell, total/workers) — about 1.5-1.8x faster here.
-func tailDemo(workers int, seed uint64, batch, burst int, segBudget uint64) {
+func tailDemo(workers int, seed uint64, segBudget uint64) {
 	const scale = 4 * netfpga.Millisecond
 	run := func(segment bool) ([]fleet.Result, *fleet.Utilization, time.Duration) {
-		r := &fleet.Runner{Workers: workers, BaseSeed: seed, ClockBatch: batch,
-			FrameBurst: burst, Segment: segment, SegmentBudget: segBudget}
+		r := &fleet.Runner{Workers: workers, BaseSeed: seed, Segment: segment,
+			SegmentBudget: segBudget}
 		start := time.Now()
 		res := r.RunAll(context.Background(), experiments.TailHeavyJobs(scale))
 		return res, r.Utilization(), time.Since(start)

@@ -40,8 +40,6 @@ func runSweepCmd(args []string) {
 	filter := fs.String("filter", "", "cell filter: space/comma terms, '!' or '-' prefix excludes")
 	workers := fs.Int("workers", 0, "fleet worker count per process (0 = GOMAXPROCS)")
 	seed := fs.Uint64("seed", 0, "base seed for per-cell seed derivation")
-	batch := fs.Int("batch", 0, "datapath clock batch size (0 = engine default)")
-	burst := fs.String("burst", "adaptive", "vectorized frame-burst window: adaptive, off, or a max cycles-per-window cap (cell digests identical in every mode)")
 	segment := fs.String("segment", "auto", "segment scheduler: auto, off, or an events-per-segment budget (cell digests identical in every mode)")
 	fidelityFlag := fs.String("fidelity", "full", "execution fidelity override for cells without their own fidelity axis: full (cycle-accurate) or hybrid (analytic background model; digests differ from full by design)")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile to this file")
@@ -167,7 +165,6 @@ func runSweepCmd(args []string) {
 		w = runtime.GOMAXPROCS(0)
 	}
 	segOn, segBudget := parseSegment(*segment)
-	burstN := parseBurst(*burst)
 	fid := parseFidelity(*fidelityFlag)
 	stopProf := startProfiles(*cpuprofile, *memprofile)
 	defer stopProf()
@@ -256,8 +253,8 @@ func runSweepCmd(args []string) {
 		rs = runFleet(plan, st, meta, fleetConfig{
 			req: shard.Request{
 				Config: *configPath, Filter: *filter, Seed: *seed,
-				Workers: w, ClockBatch: *batch, FrameBurst: burstN,
-				Segment: segOn, SegmentBudget: segBudget, Fidelity: fid,
+				Workers: w, Segment: segOn, SegmentBudget: segBudget,
+				Fidelity: fid,
 			},
 			procs: procs, addrs: addrs, migrateAfter: *migrateAfter,
 			hangTimeout: *workerTimeout, steal: *steal, quiet: *quiet,
@@ -272,7 +269,7 @@ func runSweepCmd(args []string) {
 			completed: completed,
 		}, progress)
 	} else {
-		ex := buildExecutor(w, *seed, *batch, burstN, segOn, segBudget, fid)
+		ex := buildExecutor(w, *seed, segOn, segBudget, fid)
 		ch, streamed, err := plan.Execute(context.Background(), ex)
 		fatal(err)
 		for cr := range ch {

@@ -119,8 +119,7 @@ func (bg *Background) CouplePort(bit int, wake func()) {
 // Release implements hw.BackgroundCoupler: the clear-time of the
 // newest batch pending on port bit — the moment the wire frees for a
 // foreground frame enqueued this instant — or 0 when the port's
-// backlog is empty or retires now. Pure: safe from any context,
-// including BatchLimit.
+// backlog is empty or retires now. Pure: safe from any context.
 func (bg *Background) Release(bit int) hw.Time {
 	if bit < 0 || bit >= len(bg.ports) {
 		return 0

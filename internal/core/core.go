@@ -105,21 +105,12 @@ type Options struct {
 	Seed uint64
 	// NoHost omits the PCIe engine and driver (standalone operation).
 	NoHost bool
-	// ClockBatch overrides the datapath clock's edge budget per
-	// simulation event (0 = sim.DefaultBatch, 1 = fully unbatched).
-	// Results are identical for every value; this is a performance and
-	// equivalence-testing knob.
-	ClockBatch int
-	// FrameBurst caps the design's vectorized tick window (0 = adaptive,
-	// 1 = per-cycle ticking only, N > 1 = at most N cycles per window).
-	// Like ClockBatch, results are identical for every value.
-	FrameBurst int
 	// Fidelity selects the execution mode: "" or FidelityFull simulates
 	// every frame cycle-accurately (bit-exact with all prior releases);
 	// FidelityHybrid installs the analytic Background model, and
 	// measures route background-tagged traffic through it instead of
-	// the datapath. Unlike ClockBatch/FrameBurst this knob CHANGES
-	// results — hybrid runs are golden-digested separately.
+	// the datapath. This knob CHANGES results — hybrid runs are
+	// golden-digested separately.
 	Fidelity string
 }
 
@@ -135,9 +126,6 @@ func NewDevice(board BoardSpec, opts Options) *Device {
 	}
 	s := sim.New()
 	clk := s.NewClockMHz("datapath", clkMHz)
-	if opts.ClockBatch > 0 {
-		clk.SetBatch(opts.ClockBatch)
-	}
 	d := &Device{
 		Board:   board,
 		Sim:     s,
@@ -145,9 +133,6 @@ func NewDevice(board BoardSpec, opts Options) *Device {
 		Dsn:     hw.NewDesign(board.Name, clk, bus),
 		Regs:    hw.NewAddressMap(),
 		regNext: 0x0000,
-	}
-	if opts.FrameBurst != 0 {
-		d.Dsn.SetFrameBurst(opts.FrameBurst)
 	}
 	switch opts.Fidelity {
 	case "", FidelityFull:

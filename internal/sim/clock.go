@@ -17,36 +17,6 @@ type ComponentFunc func() bool
 // Tick implements Component.
 func (f ComponentFunc) Tick() bool { return f() }
 
-// BatchComponent is an optional Component extension for vectorized
-// ticking: a component that can execute several consecutive edges as one
-// call when it can prove the result is bit-identical to per-edge ticking.
-//
-// The contract is strict. BatchLimit reports, from the component's
-// current state, the largest number of consecutive edges it could execute
-// with no externally observable difference from per-edge Ticks — no event
-// may be scheduled, no decision whose outcome depends on the exact cycle
-// number may fire, and the component's state after the window must be
-// byte-identical to the same edges run sequentially. A component that
-// cannot prove more returns 1 (always safe). TickBatch(n) is then called
-// with 1 < n <= the reported limit; during the call Now and Cycle still
-// return the window's first edge (the clock advances them after the
-// call). TickBatch must behave exactly like the per-edge loop: run up to
-// n edges, stopping early once an edge would have returned false (the
-// clock gate). It reports k, the number of edges absorbed (1 <= k <= n),
-// and busy, the k-th edge's return value — so k < n implies !busy. The
-// clock only opens a window when no foreign event, horizon, fence or
-// batch-budget boundary falls inside it, so a batching component may
-// assume the outside world is frozen for the whole window.
-type BatchComponent interface {
-	Component
-	// BatchLimit returns the maximum window the component can currently
-	// absorb (>= 1).
-	BatchLimit() int
-	// TickBatch advances the component by up to n consecutive edges,
-	// returning the number absorbed and the final edge's busy result.
-	TickBatch(n int) (int, bool)
-}
-
 // DefaultBatch is the default per-event edge budget of a clock domain:
 // while its components stay busy, a clock executes up to this many
 // consecutive edges inside one simulation event before re-entering the
@@ -55,12 +25,6 @@ type BatchComponent interface {
 // every batch size — it only amortises the per-event heap push/pop and
 // timer reschedule across the batch.
 const DefaultBatch = 64
-
-// batchBackoffMax caps the BatchLimit-query backoff stride: after
-// enough consecutive "no window" answers the clock asks at most every
-// batchBackoffMax+1 edges. Small enough that a long frame arriving
-// after a small-frame stretch still opens windows promptly.
-const batchBackoffMax = 31
 
 // Clock is a gateable clock domain. Edges fall on integer multiples of the
 // period, counted from the epoch, so independently woken domains stay
@@ -74,20 +38,6 @@ type Clock struct {
 	active bool
 	timer  *Timer
 	batch  int
-	// bcomp is the domain's sole component when it implements
-	// BatchComponent (nil otherwise): vectorized windows only apply to
-	// single-component domains, where intra-edge component ordering
-	// cannot be observed.
-	bcomp BatchComponent
-	// bskip/bstride implement BatchLimit backoff: after the component
-	// answers 1 (no window possible), the next bstride edges skip the
-	// query entirely, and the stride doubles on consecutive 1-answers up
-	// to batchBackoffMax. Window choice never affects results — the
-	// BatchComponent contract makes every window bit-identical to
-	// per-edge execution — so skipping queries only trades a slightly
-	// later window start for not paying the limit scan on every edge of
-	// traffic that cannot batch.
-	bskip, bstride int
 
 	// ticks counts edges actually executed (not gated away).
 	ticks uint64
@@ -108,8 +58,8 @@ func (s *Sim) NewClock(name string, period Time) *Clock {
 
 // SetBatch sets the clock's edge budget per simulation event. Values
 // below 1 are clamped to 1 (fully unbatched). Results are identical for
-// every batch size; the knob exists for performance tuning and for
-// equivalence tests.
+// every batch size; equivalence tests use it to vary the batch, and
+// everything else runs at DefaultBatch.
 func (c *Clock) SetBatch(k int) {
 	if k < 1 {
 		k = 1
@@ -153,12 +103,6 @@ func (c *Clock) Ticks() uint64 { return c.ticks }
 // tick in registration order within an edge.
 func (c *Clock) Register(comp Component) {
 	c.comps = append(c.comps, comp)
-	c.bcomp = nil
-	if len(c.comps) == 1 {
-		if bc, ok := comp.(BatchComponent); ok {
-			c.bcomp = bc
-		}
-	}
 	c.Wake()
 }
 
@@ -198,62 +142,20 @@ func (c *Clock) Wake() {
 func (c *Clock) edge() {
 	s := c.sim
 	for left := c.batch; ; {
-		n := 1
-		if c.bcomp != nil && left > 1 {
-			// Ask the component first: BatchLimit early-exits to 1 on any
-			// pending per-cycle decision, which is the common case on
-			// small-frame traffic, and then the pricier stop-condition
-			// window (divisions plus a heap peek) is skipped entirely.
-			// Consecutive 1-answers back the query off exponentially.
-			if c.bskip > 0 {
-				c.bskip--
-			} else if lim := c.bcomp.BatchLimit(); lim > 1 {
-				c.bstride = 0
-				w := c.inlineWindow(left)
-				if lim < w {
-					w = lim
-				}
-				if w > 1 {
-					n = w
-				}
-			} else {
-				if c.bstride < batchBackoffMax {
-					c.bstride = c.bstride*2 + 1
-				}
-				c.bskip = c.bstride
+		c.ticks++
+		busy := false
+		for _, comp := range c.comps {
+			if comp.Tick() {
+				busy = true
 			}
 		}
-		var busy bool
-		if n > 1 {
-			// Vectorized window: the component absorbs up to n edges in
-			// one call, then the clock applies exactly the accounting k
-			// per-edge iterations would have: k ticks, k cycles, k-1
-			// inline time advances each counting one executed event.
-			k, b := c.bcomp.TickBatch(n)
-			if k < 1 || k > n {
-				panic("sim: TickBatch absorbed edges out of range")
-			}
-			busy = b
-			n = k
-			c.ticks += uint64(k)
-			c.cycle += uint64(k)
-			s.now += Time(k-1) * c.period
-			s.executed += uint64(k - 1)
-		} else {
-			c.ticks++
-			for _, comp := range c.comps {
-				if comp.Tick() {
-					busy = true
-				}
-			}
-			c.cycle++
-		}
+		c.cycle++
 		if !busy {
 			c.active = false
 			return
 		}
 		next := s.now + c.period
-		left -= n
+		left--
 		if left <= 0 || next > s.horizon || (s.fence != 0 && s.executed >= s.fence) {
 			c.timer.ScheduleAt(next)
 			return
@@ -265,42 +167,4 @@ func (c *Clock) edge() {
 		s.now = next
 		s.executed++
 	}
-}
-
-// inlineWindow returns the largest number of consecutive edges (>= 1,
-// <= left) that can execute inline starting now without crossing any of
-// the per-edge stop conditions: the batch budget, the run horizon, the
-// event fence, or a foreign event becoming due. Executing w edges as one
-// window advances time by (w-1) periods and executed by w-1, so each
-// bound is solved for the largest w whose intermediate advances all pass
-// the same checks the per-edge loop applies.
-func (c *Clock) inlineWindow(left int) int {
-	s := c.sim
-	w := int64(left)
-	p := int64(c.period)
-	if s.now <= s.horizon {
-		if a := int64(s.horizon-s.now)/p + 1; a < w {
-			w = a
-		}
-	} else {
-		w = 1
-	}
-	if s.fence != 0 {
-		if s.executed >= s.fence {
-			w = 1
-		} else if d := s.fence - s.executed; d+1 < uint64(w) {
-			w = int64(d + 1)
-		}
-	}
-	if at, ok := s.Peek(); ok {
-		if at <= s.now {
-			w = 1
-		} else if a := (int64(at-s.now)-1)/p + 1; a < w {
-			w = a
-		}
-	}
-	if w < 1 {
-		w = 1
-	}
-	return int(w)
 }

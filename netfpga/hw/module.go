@@ -27,47 +27,6 @@ type StatsProvider interface {
 	Stats() map[string]uint64
 }
 
-// BatchTicker is an optional Module extension for vectorized ticking:
-// a module that can execute several consecutive cycles as one TickBatch
-// call when its current state proves the result bit-identical to
-// per-cycle Ticks.
-//
-// The contract mirrors sim.BatchComponent, specialised to datapath
-// modules. BatchLimit reports, from current state only, the largest
-// window of consecutive cycles the module could absorb with no
-// observable difference: inside the window the module may only perform
-// pure lockstep streaming — moving non-Last beats it is already
-// committed to. Every decision is a window of 1: starting a frame,
-// emitting or consuming a Last beat (frame completion triggers routing,
-// lookup dispatch, arbitration unlock), retiring a lookup, or any action
-// that schedules a simulation event. A producer's window is further
-// bounded by its output stream's free space at window start, and a
-// consumer fed by a later-ticking module (a feedback edge) by its input
-// occupancy at window start, so per-cycle interleaving with its peers
-// cannot be observed.
-//
-// TickBatch(n) is then called with n <= every module's reported limit;
-// Clock.Cycle() and Design.Now() hold the window's first cycle for the
-// whole call. It returns (engaged, busy): engaged is what the FIRST
-// per-cycle Tick of the window would have returned, busy what the n-th
-// would have. An idle module (engaged false) must do nothing and return
-// (false, false) — per-cycle it would tick once, park, and be skipped
-// for the rest of the window. An engaged module must absorb the full
-// window, which the limit rules above guarantee is possible: a module
-// with work keeps returning true at least through cycle n-1, because
-// every way of running out of work mid-window — finishing a frame,
-// draining the last queued beat, a retire coming due — is a decision
-// its limit already bounded the window away from.
-type BatchTicker interface {
-	Module
-	// BatchLimit returns the maximum window the module can currently
-	// absorb (>= 1).
-	BatchLimit() int
-	// TickBatch advances the module by n consecutive cycles, returning
-	// the first and the n-th cycle's Tick results.
-	TickBatch(n int) (engaged, busy bool)
-}
-
 // BackgroundCoupler is the contention hook a hybrid-fidelity run
 // installs on a design: an analytic background-traffic model that
 // shares egress capacity with the cycle-accurate datapath. When a
@@ -84,8 +43,8 @@ type BatchTicker interface {
 // re-entrantly from inside a Tick.
 //
 // Release is pure — no mutation, no event scheduling — so it is safe
-// anywhere, including BatchLimit/TickBatch. WaitUntil schedules an
-// event and must only be called from a Tick edge.
+// anywhere. WaitUntil schedules an event and must only be called from
+// a Tick edge.
 //
 // Full-fidelity designs carry no coupler (Background() == nil) and
 // every related branch is dead, which is the bit-exactness argument
@@ -152,21 +111,11 @@ type Design struct {
 	// story. One counter increment per executed module-cycle; noise
 	// next to the Tick call it accompanies.
 	tickCounts []uint64
-	// batch holds each module's BatchTicker view (nil when the module
-	// does not implement it); allBatch is true while every module does.
-	// Vectorized windows open only when allBatch holds: a window's
-	// correctness argument needs every module of the design to have
-	// bounded it, whether currently runnable or not.
-	batch    []BatchTicker
-	allBatch bool
-	// burst caps vectorized windows: 0 = adaptive (uncapped, window
-	// sized by module state alone), 1 = frame batching off, N > 1 = cap.
-	burst    int
-	streams  []*Stream
-	queues   []*FrameQueue
-	pool     FramePool
-	overhead Resources
-	synth    bool
+	streams    []*Stream
+	queues     []*FrameQueue
+	pool       FramePool
+	overhead   Resources
+	synth      bool
 	// background is the hybrid-fidelity contention hook; nil in full
 	// fidelity, where every coupler branch is dead code.
 	background BackgroundCoupler
@@ -178,7 +127,7 @@ func NewDesign(name string, clk *sim.Clock, busBytes int) *Design {
 	if busBytes <= 0 {
 		busBytes = DefaultBusBytes
 	}
-	d := &Design{name: name, clock: clk, busBytes: busBytes, allBatch: true}
+	d := &Design{name: name, clock: clk, busBytes: busBytes}
 	// Infrastructure overhead: clocking, reset trees, AXI interconnect.
 	d.overhead = Resources{LUTs: 9000, FFs: 14000, BRAM36: 8}
 	clk.Register(d)
@@ -234,28 +183,8 @@ func (d *Design) AddModule(m Module) {
 	d.modules = append(d.modules, m)
 	d.runnable = append(d.runnable, true)
 	d.tickCounts = append(d.tickCounts, 0)
-	bt, ok := m.(BatchTicker)
-	if !ok {
-		d.allBatch = false
-	}
-	d.batch = append(d.batch, bt)
 	d.clock.Wake()
 }
-
-// SetFrameBurst tunes vectorized frame batching: 0 (the default) sizes
-// windows adaptively from module state alone, 1 disables frame batching
-// (every cycle ticks per-edge), and N > 1 caps windows at N cycles.
-// Results are bit-identical for every value; the knob exists for
-// performance tuning and equivalence testing.
-func (d *Design) SetFrameBurst(n int) {
-	if n < 0 {
-		n = 0
-	}
-	d.burst = n
-}
-
-// FrameBurst returns the design's frame-burst cap (see SetFrameBurst).
-func (d *Design) FrameBurst() int { return d.burst }
 
 // Modules returns the design's modules in tick order.
 func (d *Design) Modules() []Module { return d.modules }
@@ -264,10 +193,7 @@ func (d *Design) Modules() []Module { return d.modules }
 // actually executed. With sparse ticking (ModuleWake wiring) an idle
 // module's count stops growing even while the rest of the design is
 // busy — the regression tests for sparse-wired projects pin exactly
-// that. Under vectorized frame batching a runnable module is charged the
-// whole window it was granted, so counts may differ slightly from
-// per-edge execution for modules that would have parked mid-window;
-// simulation results stay bit-identical either way.
+// that. Counts are exact for every clock batch size.
 func (d *Design) ModuleTicks() map[string]uint64 {
 	out := make(map[string]uint64, len(d.modules))
 	for i, m := range d.modules {
@@ -313,70 +239,6 @@ func (d *Design) Tick() bool {
 		}
 	}
 	return busy
-}
-
-// maxBatchWindow bounds adaptive windows; any value far above realistic
-// stream depths and lookup latencies works, it only keeps the int math
-// tame.
-const maxBatchWindow = 1 << 20
-
-// BatchLimit implements sim.BatchComponent: the design can absorb a
-// window only as large as EVERY module allows, runnable or not — a
-// parked module can be woken mid-window by an in-window push, and its
-// limit is what proves that wake demands no in-window action.
-func (d *Design) BatchLimit() int {
-	if !d.allBatch || d.burst == 1 || len(d.batch) == 0 {
-		return 1
-	}
-	w := maxBatchWindow
-	if d.burst > 1 && d.burst < w {
-		w = d.burst
-	}
-	for _, bt := range d.batch {
-		if l := bt.BatchLimit(); l < w {
-			if l <= 1 {
-				return 1
-			}
-			w = l
-		}
-	}
-	return w
-}
-
-// TickBatch implements sim.BatchComponent: each runnable module absorbs
-// the whole window with one TickBatch call, in tick order with live
-// runnable checks — exactly as Tick does per cycle, so in-window pushes
-// still wake downstream consumers inside the same window. A window in
-// which no runnable module was engaged collapses to a single idle edge,
-// exactly what per-cycle execution would have run before gating off; a
-// window with any engaged module runs in full, because an engaged
-// module's limit guarantees it stays busy at least through cycle n-1.
-func (d *Design) TickBatch(n int) (int, bool) {
-	engaged := false
-	for i := range d.modules {
-		if !d.runnable[i] {
-			continue
-		}
-		e, b := d.batch[i].TickBatch(n)
-		if e {
-			engaged = true
-			d.tickCounts[i] += uint64(n)
-		} else {
-			d.tickCounts[i]++ // per-cycle it would tick once and park
-		}
-		if !b {
-			d.runnable[i] = false
-		}
-	}
-	if !engaged {
-		return 1, false
-	}
-	for _, r := range d.runnable {
-		if r {
-			return n, true
-		}
-	}
-	return n, false
 }
 
 // Reset soft-resets every module that supports it and marks all modules

@@ -16,11 +16,6 @@ type Stream struct {
 	cap  int
 	head int
 	n    int
-	// ends counts queued Last beats — how many frame tails are currently
-	// in the buffer. Batching modules consult it: a window may only span
-	// cycles with no frame-boundary decisions, and a queued Last beat is
-	// exactly such a decision waiting to happen.
-	ends int
 	wake func()
 
 	pushed  uint64
@@ -70,9 +65,6 @@ func (s *Stream) put(b Beat) {
 	s.buf[(s.head+s.n)&s.mask] = b
 	s.n++
 	s.pushed++
-	if b.Last {
-		s.ends++
-	}
 	if s.n > s.highWtr {
 		s.highWtr = s.n
 	}
@@ -108,14 +100,8 @@ func (s *Stream) Pop() Beat {
 	s.head = (s.head + 1) & s.mask
 	s.n--
 	s.popped++
-	if b.Last {
-		s.ends--
-	}
 	return b
 }
-
-// Ends returns the number of queued Last beats (frame tails in flight).
-func (s *Stream) Ends() int { return s.ends }
 
 // OnPush installs a callback invoked after every Push; designs use it to
 // wake the consuming clock domain.

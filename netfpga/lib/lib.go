@@ -52,15 +52,6 @@ func (s *streamFrame) emit(out *hw.Stream, busBytes int) (pushed, done bool) {
 	return true, false
 }
 
-// beatsLeft returns how many more emit calls the frame in progress needs,
-// including the final (Last) beat; 0 when no frame is in progress.
-func (s *streamFrame) beatsLeft(busBytes int) int {
-	if s.frame == nil {
-		return 0
-	}
-	return (len(s.frame.Data) - s.off + busBytes - 1) / busBytes
-}
-
 // collectFrame is the inverse helper: it consumes beats from a stream and
 // reports the completed frame when the Last beat arrives.
 type collectFrame struct{}

@@ -92,11 +92,9 @@ func NewOutputQueues(d *hw.Design, in *hw.Stream, outs map[int]*hw.Stream, queue
 
 // blocked reports whether a port's head frame is still inside its
 // captured background wait, arming the release wake when it is. It may
-// schedule an event, so only the per-cycle Tick drain calls it; the
-// batch machinery asks the pure waiting instead. A blocked port does
-// not start a new frame and imposes no batching constraint: like a
-// MACAttach txHold stall, only a foreign event (the armed release) can
-// unblock it, and that event ends any vectorized window anyway.
+// schedule an event, so only the Tick drain calls it. A blocked port
+// does not start a new frame: like a MACAttach txHold stall, only a
+// foreign event (the armed release) can unblock it.
 func (o *OutputQueues) blocked(p *oqPort) bool {
 	if o.bg == nil || len(p.rels) == 0 {
 		return false
@@ -108,16 +106,6 @@ func (o *OutputQueues) blocked(p *oqPort) bool {
 	n := copy(p.rels, p.rels[1:])
 	p.rels = p.rels[:n]
 	return false
-}
-
-// waiting is the pure form of blocked for BatchLimit/TickBatch: true
-// while the head frame's captured release is unexpired. Frames are
-// only enqueued on per-edge Ticks (a Last beat bounds every window to
-// 1), and the same Tick's drain stage parks on the wait and arms the
-// wake, so a true answer here always has the release event pending —
-// the clock can gate or batch freely and still come back in time.
-func (o *OutputQueues) waiting(p *oqPort) bool {
-	return o.bg != nil && len(p.rels) > 0 && p.rels[0] > o.d.Now()
 }
 
 // Name implements hw.Module.
@@ -215,10 +203,7 @@ func (o *OutputQueues) route(f *hw.Frame) {
 			pool.Put(copyF)
 		} else if o.bg != nil {
 			// Capture the frame's background wait at enqueue: the
-			// clear-time of the backlog it arrived behind. Route runs
-			// on a per-edge Tick (a Last beat bounds every window to
-			// 1), so the capture lands on the exact cycle it would
-			// have per-cycle.
+			// clear-time of the backlog it arrived behind.
 			p.rels = append(p.rels, o.bg.Release(p.bit))
 		}
 	}

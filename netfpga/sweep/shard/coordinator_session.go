@@ -835,7 +835,7 @@ func (f *Fleet) Run(ctx context.Context, plan *sweep.Plan, onCell func(sweep.Cel
 						continue
 					}
 					t0 := time.Now()
-					cr, err := plan.RunCell(ctx, key, f.Req.ClockBatch, f.Req.FrameBurst, f.Req.Fidelity, nil)
+					cr, err := plan.RunCell(ctx, key, f.Req.Fidelity, nil)
 					busyNS.Add(int64(time.Since(t0)))
 					resCh <- fbRes{cr: cr, err: err}
 				}

@@ -65,11 +65,9 @@ type Request struct {
 	Filter string `json:"filter,omitempty"`
 	// Seed is the base seed cell seeds derive from.
 	Seed uint64 `json:"seed"`
-	// Workers, ClockBatch, FrameBurst, Segment and SegmentBudget
-	// configure the worker's local pool (fleet.Runner semantics).
+	// Workers, Segment and SegmentBudget configure the worker's local
+	// pool (fleet.Runner semantics).
 	Workers       int    `json:"workers,omitempty"`
-	ClockBatch    int    `json:"clock_batch,omitempty"`
-	FrameBurst    int    `json:"frame_burst,omitempty"`
 	Segment       bool   `json:"segment,omitempty"`
 	SegmentBudget uint64 `json:"segment_budget,omitempty"`
 	// Fidelity is the run-level execution-fidelity override

@@ -293,7 +293,7 @@ func runSessionItem(ctx context.Context, plan *sweep.Plan, req Request, it sessi
 	}
 	if it.resume != nil {
 		var verifyErr error
-		cr, err := plan.RunCell(ctx, it.key, req.ClockBatch, req.FrameBurst, req.Fidelity, resumeWrap(it.resume.State, &verifyErr))
+		cr, err := plan.RunCell(ctx, it.key, req.Fidelity, resumeWrap(it.resume.State, &verifyErr))
 		switch {
 		case ctx.Err() != nil:
 		case err != nil:
@@ -309,7 +309,7 @@ func runSessionItem(ctx context.Context, plan *sweep.Plan, req Request, it sessi
 	}
 
 	var parked netfpga.WindowState
-	cr, err := plan.RunCell(ctx, it.key, req.ClockBatch, req.FrameBurst, req.Fidelity, parkWrap(it.migrateAfter, segEvery, stealReq, &parked))
+	cr, err := plan.RunCell(ctx, it.key, req.Fidelity, parkWrap(it.migrateAfter, segEvery, stealReq, &parked))
 	if ctx.Err() != nil {
 		return
 	}

@@ -348,7 +348,7 @@ func TestMergerRoundTrip(t *testing.T) {
 	m := p.Merger()
 	for _, parity := range []int{1, 0} {
 		for i := parity; i < len(p.Cells); i += 2 {
-			cr, err := p.RunCell(context.Background(), p.Cells[i].Key, 0, 0, "", nil)
+			cr, err := p.RunCell(context.Background(), p.Cells[i].Key, "", nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -446,7 +446,7 @@ func TestRunCellMatchesBatch(t *testing.T) {
 
 	wrapped := 0
 	for _, want := range rs.Cells {
-		got, err := p.RunCell(context.Background(), want.Cell.Key, 0, 0, "", func(j fleet.Job) fleet.Job {
+		got, err := p.RunCell(context.Background(), want.Cell.Key, "", func(j fleet.Job) fleet.Job {
 			wrapped++
 			return j
 		})
@@ -464,7 +464,7 @@ func TestRunCellMatchesBatch(t *testing.T) {
 	if wrapped != len(rs.Cells) {
 		t.Errorf("wrap hook ran %d times for %d cells", wrapped, len(rs.Cells))
 	}
-	if _, err := p.RunCell(context.Background(), "no/such=cell", 0, 0, "", nil); err == nil {
+	if _, err := p.RunCell(context.Background(), "no/such=cell", "", nil); err == nil {
 		t.Error("RunCell accepted a key outside the plan")
 	}
 	if i, ok := p.Lookup(rs.Cells[0].Cell.Key); !ok || i != 0 {
