@@ -27,6 +27,11 @@ go test -bench 'BenchmarkSwitchMillionFlows$' \
 # benchgate -speedup ratio below is the tentpole's >= 5x headline gate.
 go test -bench 'BenchmarkBackgroundHeavy(Full|Hybrid)$' \
   -benchtime=2x -count=6 -run '^$' . | grep Benchmark | tee -a bench/baseline.txt
+# T2 runs all 8 memory cells per iteration (4 MB of QDRII+/DDR3 reads
+# each); -benchmem records the allocation count the per-resource event
+# chains keep near zero.
+go test -bench 'BenchmarkT2_Memory$' \
+  -benchtime=2x -count=6 -benchmem -run '^$' . | grep Benchmark | tee -a bench/baseline.txt
 # Frames/sec headline from the refreshed medians (self-compare: the
 # interesting before/after is old-vs-new baseline in the commit diff).
 go run ./cmd/benchgate -old bench/baseline.txt -new bench/baseline.txt \

@@ -88,13 +88,14 @@ func defT2() Def {
 		const total = 4 << 20 // 4 MB moved per pattern
 		n := total / size
 		var last sim.Time
-		addrSpace := m.Size() / 2 // stay well inside the device
+		done := func([]byte) { last = s.Now() } // one callback for every read
+		addrSpace := m.Size() / 2               // stay well inside the device
 		for i := 0; i < n; i++ {
 			addr := uint64(i*size) % addrSpace
 			if random {
 				addr = (uint64(rng.Intn(int(addrSpace / 64)))) * 64
 			}
-			m.Read(addr, size, func([]byte) { last = s.Now() })
+			m.Read(addr, size, done)
 		}
 		s.Drain(0)
 		var o sweep.Outcome

@@ -53,9 +53,9 @@ func DefaultSUMEDRAM(name string) DRAMConfig {
 // pin rate while fine-grained random access collapses to row-miss
 // latency.
 type DRAM struct {
-	cfg  DRAMConfig
-	sim  *sim.Sim
-	data *store
+	cfg DRAMConfig
+	sim *sim.Sim
+	ch  port // reads and writes share the channel
 
 	burstBytes int
 	burstTime  sim.Time // data-bus occupancy of one burst
@@ -82,7 +82,7 @@ func NewDRAM(s *sim.Sim, cfg DRAMConfig) *DRAM {
 	d := &DRAM{
 		cfg:        cfg,
 		sim:        s,
-		data:       newStore(),
+		ch:         port{sim: s, data: newStore()},
 		burstBytes: cfg.BusBytes * cfg.BurstLen,
 		openRow:    make([]int64, cfg.Banks),
 		bankFree:   make([]sim.Time, cfg.Banks),
@@ -131,11 +131,13 @@ func (d *DRAM) refreshStall(t sim.Time) sim.Time {
 }
 
 // access performs the timing walk for an n-byte access at addr and
-// returns its completion time.
+// returns its completion time. A zero-length access still occupies one
+// burst, as a zero-length SRAM access occupies one word slot, so every
+// access completes after the channel's pending traffic.
 func (d *DRAM) access(addr uint64, n int) sim.Time {
 	now := d.refreshStall(d.sim.Now())
 	var done sim.Time
-	end := addr + uint64(n)
+	end := addr + uint64(max(n, 1))
 	for addr < end {
 		bank, row := d.bankOf(addr)
 		// Bytes remaining within this row.
@@ -194,27 +196,16 @@ func (d *DRAM) Read(addr uint64, n int, cb func([]byte)) {
 	done := d.access(addr, n)
 	d.reads++
 	d.readBy += uint64(n)
-	d.sim.At(done, func() {
-		buf := make([]byte, n)
-		d.data.read(addr, buf)
-		cb(buf)
-	})
+	d.ch.read(done, addr, n, cb)
 }
 
 // Write implements Memory.
 func (d *DRAM) Write(addr uint64, data []byte, cb func()) {
 	checkRange(d.cfg.Name, addr, len(data), d.cfg.Size)
-	cp := make([]byte, len(data))
-	copy(cp, data)
 	done := d.access(addr, len(data))
 	d.writes++
 	d.writeBy += uint64(len(data))
-	d.sim.At(done, func() {
-		d.data.write(addr, cp)
-		if cb != nil {
-			cb()
-		}
-	})
+	d.ch.write(done, addr, data, cb)
 }
 
 // PeakBandwidthGbps returns the pin-rate bandwidth of the channel.

@@ -7,7 +7,11 @@
 // parts cost only what is touched.
 package mem
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/sim"
+)
 
 // Memory is the interface both models implement. Operations complete
 // asynchronously in simulated time; callbacks run when the data is valid.
@@ -17,13 +21,78 @@ type Memory interface {
 	// Size returns the capacity in bytes.
 	Size() uint64
 	// Read fetches n bytes at addr; cb receives the data when the
-	// device returns it. The returned slice is owned by the callee only
-	// for the duration of the callback.
+	// device returns it. The slice is the device's reused scratch
+	// buffer: it is valid only for the duration of the callback, and
+	// the next read completion overwrites it. A callback that keeps the
+	// data must copy it.
 	Read(addr uint64, n int, cb func([]byte))
 	// Write stores data at addr; cb (optional) runs at write completion.
+	// The data is captured at the call, so the caller may reuse its
+	// buffer immediately.
 	Write(addr uint64, data []byte, cb func())
 	// Stats exports device counters.
 	Stats() map[string]uint64
+}
+
+// port is one serialized access path of a device: a QDR read or write
+// port, or a DDR3 channel. Its completion times strictly increase, so
+// every access completes through one sim.Chain, with the per-access
+// data kept in a FIFO pushed in lockstep with the chain. The chain is
+// created on first access, so a device that never touches its memory
+// pays nothing for it.
+type port struct {
+	sim     *sim.Sim
+	data    *store
+	chain   *sim.Chain
+	ops     sim.FIFO[access]
+	scratch []byte // read buffer lent to each read callback in turn
+}
+
+// access is one queued read or write.
+type access struct {
+	write bool
+	addr  uint64
+	n     int          // read length
+	read  func([]byte) // read callback
+	wdata []byte       // write data
+	wdone func()       // optional write callback
+}
+
+// push queues access a to complete at time at.
+func (p *port) push(at sim.Time, a access) {
+	if p.chain == nil {
+		p.chain = p.sim.NewChain(p.complete)
+	}
+	p.chain.Push(at)
+	p.ops.Push(a)
+}
+
+// read queues an n-byte read at addr completing at time at.
+func (p *port) read(at sim.Time, addr uint64, n int, cb func([]byte)) {
+	p.push(at, access{addr: addr, n: n, read: cb})
+}
+
+// write queues a write of a private copy of data completing at time at.
+func (p *port) write(at sim.Time, addr uint64, data []byte, cb func()) {
+	p.push(at, access{write: true, addr: addr, wdata: append([]byte(nil), data...), wdone: cb})
+}
+
+// complete performs the oldest queued access at its completion time.
+func (p *port) complete() {
+	a := p.ops.Pop()
+	if a.write {
+		p.data.write(a.addr, a.wdata)
+		if a.wdone != nil {
+			a.wdone()
+		}
+		return
+	}
+	if cap(p.scratch) < a.n {
+		p.scratch = make([]byte, a.n)
+	}
+	buf := p.scratch[:a.n]
+	p.data.read(a.addr, buf)
+	a.read(buf)
 }
 
 const pageSize = 4096

@@ -48,7 +48,7 @@ func TestSRAMReadWriteRoundTrip(t *testing.T) {
 	m := NewSRAM(s, DefaultSUMESRAM("sram0"))
 	var got []byte
 	m.Write(0x100, []byte{1, 2, 3, 4, 5, 6, 7, 8}, nil)
-	m.Read(0x100, 8, func(b []byte) { got = b })
+	m.Read(0x100, 8, func(b []byte) { got = append(got, b...) })
 	s.Drain(0)
 	if !bytes.Equal(got, []byte{1, 2, 3, 4, 5, 6, 7, 8}) {
 		t.Fatalf("got %v", got)
@@ -144,7 +144,7 @@ func TestDRAMRoundTrip(t *testing.T) {
 	data := bytes.Repeat([]byte{0x5A}, 4096)
 	var got []byte
 	d.Write(1<<20, data, nil)
-	d.Read(1<<20, 4096, func(b []byte) { got = b })
+	d.Read(1<<20, 4096, func(b []byte) { got = append(got, b...) })
 	s.Drain(0)
 	if !bytes.Equal(got, data) {
 		t.Fatal("DRAM round-trip failed")
@@ -292,5 +292,167 @@ func TestMemoryCoherenceProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// A zero-length access still occupies the port or channel for one slot:
+// issued after t = 0 behind pending traffic, it completes after that
+// traffic (in issue order) instead of being scheduled in the past.
+func TestZeroLengthAccess(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		mk   func(*sim.Sim) Memory
+	}{
+		{"SRAM", func(s *sim.Sim) Memory { return NewSRAM(s, DefaultSUMESRAM("s")) }},
+		{"DRAM", func(s *sim.Sim) Memory { return NewDRAM(s, DefaultSUMEDRAM("d")) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := sim.New()
+			m := tc.mk(s)
+			s.RunUntil(3 * sim.Microsecond)
+			var order []string
+			var at []sim.Time
+			done := func(what string) { order = append(order, what); at = append(at, s.Now()) }
+			m.Write(0x1000, make([]byte, 4096), func() { done("bulk write") })
+			m.Read(0x2000, 4096, func([]byte) { done("bulk read") })
+			m.Write(0x1000, nil, func() { done("empty write") })
+			m.Read(0x2000, 0, func(b []byte) {
+				if len(b) != 0 {
+					t.Errorf("zero-length read returned %d bytes", len(b))
+				}
+				done("empty read")
+			})
+			s.Drain(0)
+			if len(order) != 4 {
+				t.Fatalf("completions %v, want 4", order)
+			}
+			pos := map[string]int{}
+			for i, w := range order {
+				pos[w] = i
+				if at[i] <= 3*sim.Microsecond {
+					t.Errorf("%s completed at %v, not after issue", w, at[i])
+				}
+			}
+			if at[pos["empty write"]] <= at[pos["bulk write"]] {
+				t.Errorf("empty write at %v did not wait for the bulk write at %v",
+					at[pos["empty write"]], at[pos["bulk write"]])
+			}
+			if at[pos["empty read"]] <= at[pos["bulk read"]] {
+				t.Errorf("empty read at %v did not wait for the bulk read at %v",
+					at[pos["empty read"]], at[pos["bulk read"]])
+			}
+		})
+	}
+}
+
+// Property: completion times strictly increase per SRAM port and per
+// DRAM channel, whatever the addresses, sizes and read/write mix —
+// across row misses and refresh stalls. Each port completes through one
+// sim.Chain, which relies on exactly this.
+func TestCompletionTimesStrictlyIncrease(t *testing.T) {
+	for seed := uint64(1); seed <= 5; seed++ {
+		s := sim.New()
+		sram := NewSRAM(s, DefaultSUMESRAM("s"))
+		dram := NewDRAM(s, DefaultSUMEDRAM("d"))
+		rng := sim.NewRand(seed)
+		// One completion log per serialized resource (SRAM read port,
+		// SRAM write port, DRAM channel), in issue order.
+		var logs [3][]sim.Time
+		var issued [3]int
+		track := func(port int) func() {
+			seq := issued[port]
+			issued[port]++
+			return func() {
+				if seq != len(logs[port]) {
+					t.Fatalf("seed %d port %d: access %d completed as number %d", seed, port, seq, len(logs[port]))
+				}
+				logs[port] = append(logs[port], s.Now())
+			}
+		}
+		issue := func() {
+			n := rng.Intn(600)
+			if rng.Intn(8) == 0 {
+				n = 0
+			}
+			write := rng.Intn(3) == 0
+			addr := uint64(rng.Intn(1<<22)) &^ uint64(rng.Intn(2)*63)
+			switch rng.Intn(2) {
+			case 0:
+				if write {
+					done := track(1)
+					sram.Write(addr, make([]byte, n), done)
+				} else {
+					done := track(0)
+					sram.Read(addr, n, func([]byte) { done() })
+				}
+			case 1:
+				done := track(2)
+				if write {
+					dram.Write(addr, make([]byte, n), done)
+				} else {
+					dram.Read(addr, n, func([]byte) { done() })
+				}
+			}
+		}
+		// Bursts of requests at random times over several refresh
+		// intervals.
+		for i := 0; i < 300; i++ {
+			burst := 1 + rng.Intn(6)
+			s.At(sim.Time(rng.Intn(60_000))*sim.Nanosecond, func() {
+				for j := 0; j < burst; j++ {
+					issue()
+				}
+			})
+		}
+		s.Drain(0)
+		for port, log := range logs {
+			if len(log) != issued[port] {
+				t.Fatalf("seed %d port %d: %d of %d accesses completed", seed, port, len(log), issued[port])
+			}
+			for i := 1; i < len(log); i++ {
+				if log[i] <= log[i-1] {
+					t.Fatalf("seed %d port %d: completion %d at %v not after %v", seed, port, i, log[i], log[i-1])
+				}
+			}
+		}
+		st := dram.Stats()
+		if st["refreshes"] == 0 || st["row_misses"] == 0 || st["row_hits"] == 0 {
+			t.Fatalf("seed %d: scenario missed DRAM behaviour: %v", seed, st)
+		}
+	}
+}
+
+// Steady-state reads allocate nothing: completions ride the port's
+// chain, the request data its block-recycled FIFO, and the callback gets
+// the port's reused scratch buffer.
+func TestReadZeroAlloc(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		mk   func(*sim.Sim) Memory
+	}{
+		{"SRAM", func(s *sim.Sim) Memory { return NewSRAM(s, DefaultSUMESRAM("s")) }},
+		{"DRAM", func(s *sim.Sim) Memory { return NewDRAM(s, DefaultSUMEDRAM("d")) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := sim.New()
+			m := tc.mk(s)
+			var sum int
+			cb := func(b []byte) { sum += len(b) }
+			addr := uint64(0)
+			burst := func() {
+				for i := 0; i < 600; i++ {
+					m.Read(addr, 64+i%448, cb)
+					addr = (addr + 4096 + 64) % (1 << 22)
+				}
+				s.Drain(0)
+			}
+			burst() // warm up: FIFO blocks, scratch buffer, event heap
+			if allocs := testing.AllocsPerRun(20, burst); allocs != 0 {
+				t.Fatalf("steady-state reads allocate %.1f per burst", allocs)
+			}
+			if sum == 0 {
+				t.Fatal("no read completed")
+			}
+		})
 	}
 }

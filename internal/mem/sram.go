@@ -30,12 +30,12 @@ func DefaultSUMESRAM(name string) SRAMConfig {
 type SRAM struct {
 	cfg   SRAMConfig
 	sim   *sim.Sim
-	data  *store
 	perWd sim.Time // time per word on one port (half a clock: DDR edges)
 	lat   sim.Time
 
 	readFree  sim.Time // read port next-available time
 	writeFree sim.Time // write port next-available time
+	rd, wr    port
 
 	reads, writes   uint64
 	readBy, writeBy uint64 // bytes
@@ -48,12 +48,14 @@ func NewSRAM(s *sim.Sim, cfg SRAMConfig) *SRAM {
 		panic("mem: invalid SRAM config")
 	}
 	period := sim.PeriodOfMHz(cfg.ClockMHz)
+	data := newStore()
 	return &SRAM{
 		cfg:   cfg,
 		sim:   s,
-		data:  newStore(),
 		perWd: period / 2, // DDR: one word per edge per port
 		lat:   sim.Time(cfg.ReadLatency) * period,
+		rd:    port{sim: s, data: data},
+		wr:    port{sim: s, data: data},
 	}
 }
 
@@ -86,19 +88,13 @@ func (m *SRAM) Read(addr uint64, n int, cb func([]byte)) {
 	m.readFree = done
 	m.reads++
 	m.readBy += uint64(n)
-	m.sim.At(done+m.lat, func() {
-		buf := make([]byte, n)
-		m.data.read(addr, buf)
-		cb(buf)
-	})
+	m.rd.read(done+m.lat, addr, n, cb)
 }
 
 // Write implements Memory. The independent write port serialises writes;
 // data is captured immediately (the caller may reuse its buffer).
 func (m *SRAM) Write(addr uint64, data []byte, cb func()) {
 	checkRange(m.cfg.Name, addr, len(data), m.cfg.Size)
-	cp := make([]byte, len(data))
-	copy(cp, data)
 	now := m.sim.Now()
 	start := now
 	if m.writeFree > start {
@@ -109,12 +105,7 @@ func (m *SRAM) Write(addr uint64, data []byte, cb func()) {
 	m.writeFree = done
 	m.writes++
 	m.writeBy += uint64(len(data))
-	m.sim.At(done, func() {
-		m.data.write(addr, cp)
-		if cb != nil {
-			cb()
-		}
-	})
+	m.wr.write(done, addr, data, cb)
 }
 
 // PeakBandwidthGbps returns the theoretical per-direction bandwidth:

@@ -64,12 +64,17 @@ const (
 )
 
 // Link is a full-duplex PCIe link with independent per-direction
-// occupancy.
+// occupancy. Each direction serializes its transfers, so their arrival
+// times strictly increase: a direction completes them through one
+// sim.Chain, created on its first transfer, with the callbacks queued in
+// a FIFO in lockstep.
 type Link struct {
-	cfg  LinkConfig
-	sim  *sim.Sim
-	rate float64 // effective Gb/s per direction
-	busy [2]sim.Time
+	cfg   LinkConfig
+	sim   *sim.Sim
+	rate  float64 // effective Gb/s per direction
+	busy  [2]sim.Time
+	chain [2]*sim.Chain
+	done  [2]sim.FIFO[func()]
 
 	transfers [2]uint64
 	bytes     [2]uint64
@@ -114,7 +119,11 @@ func (l *Link) Transfer(dir Dir, n int, cb func()) {
 	l.busy[dir] = end
 	l.transfers[dir]++
 	l.bytes[dir] += uint64(n)
-	l.sim.At(end+l.cfg.Latency, cb)
+	if l.chain[dir] == nil {
+		l.chain[dir] = l.sim.NewChain(func() { l.done[dir].Pop()() })
+	}
+	l.chain[dir].Push(end + l.cfg.Latency)
+	l.done[dir].Push(cb)
 }
 
 // Stats exports link counters.
@@ -155,6 +164,12 @@ type Engine struct {
 	// host buffers.
 	fromDevice *hw.FrameQueue
 
+	// txq and rxq hold the frames in flight on each link direction, in
+	// transfer order; txDone and rxDone are the matching completions,
+	// bound once so a transfer allocates no closure.
+	txq, rxq       sim.FIFO[*hw.Frame]
+	txDone, rxDone func()
+
 	txInFlight int
 	rxFree     int // posted host rx buffers
 	deliver    func(f *hw.Frame)
@@ -173,6 +188,7 @@ func NewEngine(s *sim.Sim, cfg EngineConfig) *Engine {
 		cfg.RxRing = 256
 	}
 	e := &Engine{cfg: cfg, sim: s, link: NewLink(s, cfg.Link)}
+	e.txDone, e.rxDone = e.txComplete, e.rxComplete
 	e.toDevice = hw.NewFrameQueue("dma.to_device", cfg.TxRing, 0)
 	e.fromDevice = hw.NewFrameQueue("dma.from_device", cfg.RxRing, 0)
 	e.fromDevice.OnPush(e.kickRx)
@@ -210,12 +226,16 @@ func (e *Engine) HostSend(f *hw.Frame) bool {
 	}
 	e.txInFlight++
 	// Descriptor fetch + payload move in one modelled transfer.
-	e.link.Transfer(HostToDevice, len(f.Data)+16, func() {
-		e.txInFlight--
-		e.txFrames++
-		e.toDevice.Push(f) // wakes the datapath clock via OnPush
-	})
+	e.txq.Push(f)
+	e.link.Transfer(HostToDevice, len(f.Data)+16, e.txDone)
 	return true
+}
+
+// txComplete completes the oldest host→device transfer.
+func (e *Engine) txComplete() {
+	e.txInFlight--
+	e.txFrames++
+	e.toDevice.Push(e.txq.Pop()) // wakes the datapath clock via OnPush
 }
 
 // TxSpace returns the number of free TX ring slots.
@@ -226,16 +246,21 @@ func (e *Engine) kickRx() {
 	for e.rxFree > 0 && e.fromDevice.Len() > 0 {
 		f := e.fromDevice.Pop()
 		e.rxFree--
-		e.link.Transfer(DeviceToHost, len(f.Data)+16, func() {
-			e.rxFrames++
-			e.interrupts++
-			if e.deliver != nil {
-				e.deliver(f)
-			}
-		})
+		e.rxq.Push(f)
+		e.link.Transfer(DeviceToHost, len(f.Data)+16, e.rxDone)
 	}
 	if e.fromDevice.Len() > 0 && e.rxFree == 0 {
 		e.rxDeferred++
+	}
+}
+
+// rxComplete completes the oldest device→host transfer.
+func (e *Engine) rxComplete() {
+	f := e.rxq.Pop()
+	e.rxFrames++
+	e.interrupts++
+	if e.deliver != nil {
+		e.deliver(f)
 	}
 }
 

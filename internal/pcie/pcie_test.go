@@ -172,3 +172,59 @@ func TestGen3FasterThanGen2(t *testing.T) {
 		t.Fatalf("Gen2/Gen3 time ratio = %.2f, want ~2", ratio)
 	}
 }
+
+// Steady-state transfers allocate nothing: each direction completes
+// through one sim.Chain with its callbacks in a block-recycled FIFO.
+func TestTransferZeroAlloc(t *testing.T) {
+	s := sim.New()
+	l := NewLink(s, SUMELink())
+	n := 0
+	cb := func() { n++ }
+	burst := func() {
+		for i := 0; i < 600; i++ {
+			l.Transfer(Dir(i%2), 64+i, cb)
+		}
+		s.Drain(0)
+	}
+	burst() // warm up: FIFO blocks and the event heap
+	if allocs := testing.AllocsPerRun(20, burst); allocs != 0 {
+		t.Fatalf("steady-state transfers allocate %.1f per burst", allocs)
+	}
+	if n%600 != 0 || n == 0 {
+		t.Fatalf("%d transfers completed, want a multiple of 600", n)
+	}
+}
+
+// The engine's frame FIFOs stay in lockstep with the link: frames of
+// mixed sizes arrive in send order in both directions.
+func TestEngineKeepsFrameOrder(t *testing.T) {
+	s, e := newEngine(t)
+	var delivered []*hw.Frame
+	e.SetDeliver(func(f *hw.Frame) { delivered = append(delivered, f) })
+	e.PostRx(64)
+	var sent, pushed []*hw.Frame
+	for i := 0; i < 40; i++ {
+		f := hw.NewFrame(make([]byte, 60+(i*379)%1400), hw.HostPortBase)
+		if !e.HostSend(f) {
+			t.Fatal("HostSend failed")
+		}
+		sent = append(sent, f)
+		g := hw.NewFrame(make([]byte, 60+(i*211)%1400), 0)
+		e.FromDevice().Push(g)
+		pushed = append(pushed, g)
+	}
+	s.Drain(0)
+	for i, f := range sent {
+		if got := e.ToDevice().Pop(); got != f {
+			t.Fatalf("host→device frame %d out of order", i)
+		}
+	}
+	if len(delivered) != len(pushed) {
+		t.Fatalf("delivered %d frames, want %d", len(delivered), len(pushed))
+	}
+	for i, f := range pushed {
+		if delivered[i] != f {
+			t.Fatalf("device→host frame %d out of order", i)
+		}
+	}
+}

@@ -66,14 +66,19 @@ func (t *Timer) ScheduleAt(at Time) {
 	if at < s.now {
 		panic("sim: event scheduled in the past")
 	}
-	t.at = at
 	s.seq++
-	t.seq = s.seq
+	t.scheduleKey(at, s.seq)
+}
+
+// scheduleKey arms the timer under a (time, seq) key reserved earlier
+// from the simulator's sequence counter (see Chain).
+func (t *Timer) scheduleKey(at Time, seq uint64) {
+	t.at, t.seq = at, seq
 	if t.idx >= 0 {
-		s.fix(t.idx)
+		t.sim.fix(t.idx)
 		return
 	}
-	s.push(t)
+	t.sim.push(t)
 }
 
 // ScheduleAfter arms the timer d picoseconds from now.

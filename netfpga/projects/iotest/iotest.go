@@ -10,6 +10,7 @@ import (
 	"bytes"
 	"fmt"
 
+	"repro/internal/mem"
 	"repro/netfpga"
 	"repro/netfpga/hw"
 	"repro/netfpga/lib"
@@ -169,14 +170,10 @@ func (p *Project) RunSelfTest(dev *netfpga.Device) *Report {
 
 	// Memories: pattern write/read-back over a window.
 	for _, m := range dev.SRAMs {
-		rep.Results = append(rep.Results, memTest(dev, m.Name(), m.Size(),
-			func(addr uint64, d []byte, cb func()) { m.Write(addr, d, cb) },
-			func(addr uint64, n int, cb func([]byte)) { m.Read(addr, n, cb) }))
+		rep.Results = append(rep.Results, memTest(dev, m))
 	}
 	for _, m := range dev.DRAMs {
-		rep.Results = append(rep.Results, memTest(dev, m.Name(), m.Size(),
-			func(addr uint64, d []byte, cb func()) { m.Write(addr, d, cb) },
-			func(addr uint64, n int, cb func([]byte)) { m.Read(addr, n, cb) }))
+		rep.Results = append(rep.Results, memTest(dev, m))
 	}
 
 	// Storage: block write/read-back.
@@ -205,18 +202,15 @@ func (p *Project) RunSelfTest(dev *netfpga.Device) *Report {
 
 // memTest walks a pattern and its complement through three windows of a
 // memory (start, middle, end) and verifies read-back.
-func memTest(dev *netfpga.Device, name string, size uint64,
-	write func(uint64, []byte, func()),
-	read func(uint64, int, func([]byte))) Result {
-
+func memTest(dev *netfpga.Device, m mem.Memory) Result {
 	const window = 1024
-	bases := []uint64{0, size / 2, size - window}
+	bases := []uint64{0, m.Size() / 2, m.Size() - window}
 	okAll := true
 	for i, base := range bases {
 		want := pattern(window, byte(0x80+i))
-		write(base, want, nil)
+		m.Write(base, want, nil)
 		var got []byte
-		read(base, window, func(b []byte) { got = b })
+		m.Read(base, window, func(b []byte) { got = append(got, b...) })
 		dev.RunUntilIdle(1 << 20)
 		if !bytes.Equal(got, want) {
 			okAll = false
@@ -227,5 +221,5 @@ func memTest(dev *netfpga.Device, name string, size uint64,
 	if !okAll {
 		detail = "read-back mismatch"
 	}
-	return Result{Interface: name, Pass: okAll, Detail: detail}
+	return Result{Interface: m.Name(), Pass: okAll, Detail: detail}
 }

@@ -14,19 +14,47 @@ type Route struct {
 
 // Trie is a binary (unibit) longest-prefix-match trie, the structure the
 // hardware FIB models. Lookups walk at most 32 nodes; inserts and
-// removals are in-place.
+// removals are in-place. Nodes come from fixed-size slabs and carry
+// their route inline, and pruned nodes are reused before a new slab is
+// cut, so building a FIB allocates once per slab rather than once per
+// node and route.
 type Trie struct {
 	root *trieNode
+	slab []trieNode // unused tail of the current slab
+	free *trieNode  // pruned nodes, linked through child[0]
 	n    int
 }
 
+// trieSlab is the number of nodes allocated at a time.
+const trieSlab = 256
+
 type trieNode struct {
-	child [2]*trieNode
-	route *Route
+	child    [2]*trieNode
+	route    Route
+	hasRoute bool
 }
 
 // NewTrie returns an empty FIB.
-func NewTrie() *Trie { return &Trie{root: &trieNode{}} }
+func NewTrie() *Trie {
+	t := &Trie{}
+	t.root = t.newNode()
+	return t
+}
+
+// newNode returns a zeroed node, reusing a pruned one if available.
+func (t *Trie) newNode() *trieNode {
+	if n := t.free; n != nil {
+		t.free = n.child[0]
+		*n = trieNode{}
+		return n
+	}
+	if len(t.slab) == 0 {
+		t.slab = make([]trieNode, trieSlab)
+	}
+	n := &t.slab[0]
+	t.slab = t.slab[1:]
+	return n
+}
 
 // Len returns the number of routes.
 func (t *Trie) Len() int { return t.n }
@@ -41,19 +69,18 @@ func (t *Trie) Insert(r Route) {
 	for i := uint8(0); i < r.Prefix.Bits; i++ {
 		b := bitAt(addr, i)
 		if n.child[b] == nil {
-			n.child[b] = &trieNode{}
+			n.child[b] = t.newNode()
 		}
 		n = n.child[b]
 	}
-	if n.route == nil {
+	if !n.hasRoute {
 		t.n++
 	}
-	rr := r
-	n.route = &rr
+	n.route, n.hasRoute = r, true
 }
 
 // Remove deletes the route for prefix, reporting whether it existed.
-// Emptied branches are pruned.
+// Emptied branches are pruned and their nodes kept for reuse.
 func (t *Trie) Remove(prefix pkt.Prefix) bool {
 	addr := prefix.Addr.Uint32() & prefix.Mask()
 	path := make([]*trieNode, 0, 33)
@@ -66,20 +93,20 @@ func (t *Trie) Remove(prefix pkt.Prefix) bool {
 		}
 		path = append(path, n)
 	}
-	if n.route == nil {
+	if !n.hasRoute {
 		return false
 	}
-	n.route = nil
+	n.route, n.hasRoute = Route{}, false
 	t.n--
 	// Prune childless, routeless nodes bottom-up.
 	for i := len(path) - 1; i > 0; i-- {
 		node := path[i]
-		if node.route != nil || node.child[0] != nil || node.child[1] != nil {
+		if node.hasRoute || node.child[0] != nil || node.child[1] != nil {
 			break
 		}
-		parent := path[i-1]
-		b := bitAt(addr, uint8(i-1))
-		parent.child[b] = nil
+		path[i-1].child[bitAt(addr, uint8(i-1))] = nil
+		node.child[0] = t.free
+		t.free = node
 	}
 	return true
 }
@@ -87,11 +114,11 @@ func (t *Trie) Remove(prefix pkt.Prefix) bool {
 // Lookup returns the longest-prefix-match route for ip.
 func (t *Trie) Lookup(ip pkt.IP4) (Route, bool) {
 	addr := ip.Uint32()
-	var best *Route
+	var best *trieNode
 	n := t.root
 	for i := uint8(0); ; i++ {
-		if n.route != nil {
-			best = n.route
+		if n.hasRoute {
+			best = n
 		}
 		if i == 32 {
 			break
@@ -104,24 +131,22 @@ func (t *Trie) Lookup(ip pkt.IP4) (Route, bool) {
 	if best == nil {
 		return Route{}, false
 	}
-	return *best, true
+	return best.route, true
 }
 
 // Walk visits every route in prefix order (shorter prefixes first among
 // ancestors; child order 0 then 1).
-func (t *Trie) Walk(fn func(Route)) {
-	var rec func(*trieNode)
-	rec = func(n *trieNode) {
-		if n == nil {
-			return
-		}
-		if n.route != nil {
-			fn(*n.route)
-		}
-		rec(n.child[0])
-		rec(n.child[1])
+func (t *Trie) Walk(fn func(Route)) { walk(t.root, fn) }
+
+func walk(n *trieNode, fn func(Route)) {
+	if n == nil {
+		return
 	}
-	rec(t.root)
+	if n.hasRoute {
+		fn(n.route)
+	}
+	walk(n.child[0], fn)
+	walk(n.child[1], fn)
 }
 
 // LinearFIB is a reference implementation: a flat route list scanned for
