@@ -7,12 +7,14 @@ import (
 
 // measureGoodput saturates the given taps (tap i repeatedly sends
 // streams[i]; nil entries stay silent) through a warmup and a timed
-// window, and returns the bytes and frames received across all taps
-// strictly within the window. Collection happens exactly at window end,
-// so queued-but-undelivered frames are excluded and goodput can never
-// exceed the wire.
+// window, and returns the bytes received across all taps strictly
+// within the window. The taps count instead of capturing — only totals
+// are reported, and counting is host-side bookkeeping that leaves the
+// traffic and every device counter bit-identical. The total is the
+// count delta from warmup end to window end, so queued-but-undelivered
+// frames are excluded and goodput can never exceed the wire.
 func measureGoodput(dev *netfpga.Device, taps []*netfpga.PortTap, streams [][]byte,
-	warmup, window netfpga.Time) (bytes uint64, frames int) {
+	warmup, window netfpga.Time) uint64 {
 
 	topUp := func() {
 		for i, tap := range taps {
@@ -33,18 +35,21 @@ func measureGoodput(dev *netfpga.Device, taps []*netfpga.PortTap, streams [][]by
 			dev.RunFor(netfpga.Microsecond)
 		}
 	}
-	run(warmup)
-	for _, tap := range taps {
-		tap.Received() // discard warmup arrivals
-	}
-	run(window)
-	for _, tap := range taps {
-		for _, f := range tap.Received() {
-			bytes += uint64(len(f.Data))
-			frames++
+	rxBytes := func() (total uint64) {
+		for _, tap := range taps {
+			_, b := tap.Counts()
+			total += b
 		}
+		return total
 	}
-	return bytes, frames
+	for _, tap := range taps {
+		tap.Received() // release earlier captures; from here on the tap counts
+		tap.SetCounting(true)
+	}
+	run(warmup)
+	base := rxBytes()
+	run(window)
+	return rxBytes() - base
 }
 
 // designDrops sums the design's queue-overflow drops — one

@@ -67,7 +67,7 @@ func defT4() Def {
 				pkt.Payload(make([]byte, payload-14)))
 			streams[i] = f
 		}
-		rxBytes, _ := measureGoodput(dev, taps, streams, 100*netfpga.Microsecond, window)
+		rxBytes := measureGoodput(dev, taps, streams, 100*netfpga.Microsecond, window)
 		var o sweep.Outcome
 		o.Set("achieved_gbps", float64(rxBytes)*8/window.Seconds()/1e9)
 		o.Set("drops", float64(designDrops(dev)))
@@ -177,7 +177,7 @@ func defT5() Def {
 			}
 			streams[i] = f
 		}
-		rxBytes, _ := measureGoodput(dev, taps, streams, 100*netfpga.Microsecond, window)
+		rxBytes := measureGoodput(dev, taps, streams, 100*netfpga.Microsecond, window)
 		cnt := p.Engine().C
 		var o sweep.Outcome
 		o.Set("achieved_gbps", float64(rxBytes)*8/window.Seconds()/1e9)

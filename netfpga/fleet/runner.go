@@ -29,10 +29,11 @@ type Runner struct {
 	Fidelity string
 	// Segment enables the segmented work-stealing scheduler: each
 	// device executes in resumable windows of at most SegmentBudget
-	// simulation events, parked bit-exactly between segments, and the
-	// pool schedules segments — per-worker deques with steal-half —
-	// instead of whole jobs. A tail-heavy batch (one long 100G device
-	// behind a queue of short ones) then finishes in
+	// simulation events, parked bit-exactly between segments. Jobs are
+	// placed longest-declared-window first on per-worker deques with
+	// steal-half, and a worker runs the job it took to completion, so
+	// at most one device per worker is alive. A tail-heavy batch (one
+	// long 100G device behind a queue of short ones) then finishes in
 	// ~max(longest device, total work / workers) instead of
 	// ~(queue delay + longest device). Results are byte-identical to
 	// unsegmented execution for every budget and worker count: a

@@ -42,12 +42,13 @@ func autoSegmentBudget(job Job) uint64 {
 	return DefaultSegmentBudget
 }
 
-// segTask is one job's resumable execution state — the "SegmentedJob"
-// the scheduler moves between workers. The job body runs on its own
-// goroutine for its whole life (so device state never crosses
-// goroutines mid-simulation); workers grant it one segment at a time
-// through the resume/parked handshake, whose channel operations carry
-// the happens-before edges that make cross-worker pickup safe.
+// segTask is one job's resumable execution state. Until it starts it
+// sits on a worker deque, where stealing may move it; once started, the
+// worker that took it runs it to completion. The job body runs on its
+// own goroutine for its whole life (so device state never crosses
+// goroutines mid-simulation); the worker grants it one segment at a
+// time through the resume/parked handshake, whose channel operations
+// carry the happens-before edges between the two goroutines.
 type segTask struct {
 	index  int
 	job    Job
@@ -67,29 +68,31 @@ type segTask struct {
 }
 
 // segScheduler runs a batch as a pool of per-worker task deques with
-// work stealing. Owners pop from the front of their own deque (FIFO, so
-// a worker holding several parked devices round-robins them and a long
-// job is never starved by its neighbours); idle workers steal the back
-// half of the richest victim's deque. A running task is in no deque, so
-// it can never execute on two workers at once.
+// work stealing. The deques hold only unstarted tasks: a worker pops
+// its own front, or steals the back half of the richest victim's deque
+// when idle, then grants that task segment after segment until it
+// finishes. A started task is never requeued, so it can never execute
+// on two workers at once, and at most one device per worker is alive:
+// a device is built at its task's first segment and becomes garbage at
+// delivery, which bounds in-process memory by workers, not batch size.
+// Interleaving parked devices would buy no throughput — one job is
+// sequential — and the tail balance comes from longest-first seeding
+// and stealing.
 type segScheduler struct {
 	r       *Runner
 	ctx     context.Context
 	u       *Utilization
 	deliver func(Result)
 
-	mu        sync.Mutex
-	cond      *sync.Cond
-	deques    [][]*segTask
-	remaining int
+	mu     sync.Mutex
+	deques [][]*segTask
 }
 
 // newSegScheduler builds the scheduler state for a batch: compile every
 // job into a resumable task and seed the initial nw deques (LPT).
 func newSegScheduler(r *Runner, ctx context.Context, jobs []Job, nw int, u *Utilization, deliver func(Result)) *segScheduler {
 	s := &segScheduler{r: r, ctx: ctx, u: u, deliver: deliver,
-		deques: make([][]*segTask, nw), remaining: len(jobs)}
-	s.cond = sync.NewCond(&s.mu)
+		deques: make([][]*segTask, nw)}
 
 	tasks := make([]*segTask, len(jobs))
 	for i := range jobs {
@@ -150,59 +153,40 @@ func (s *segScheduler) seed(tasks []*segTask) {
 	}
 }
 
-// worker is one pool goroutine: take a task, run one segment, requeue
-// or deliver.
+// worker is one pool goroutine: take an unstarted task, grant it
+// segments until it finishes, deliver, repeat.
 func (s *segScheduler) worker(w int) {
 	for {
 		t := s.take(w)
 		if t == nil {
 			return
 		}
-		t0 := time.Now()
-		done := s.runSegment(t)
-		dt := time.Since(t0)
-		s.u.account(w, dt)
-		t.busy += dt
-
-		s.mu.Lock()
-		if done {
-			s.remaining--
-			if s.remaining == 0 {
-				s.cond.Broadcast()
-			}
-			s.mu.Unlock()
-			s.u.jobDone(t.job.Name, t.busy)
-			s.deliver(t.res)
-			continue
+		for done := false; !done; {
+			t0 := time.Now()
+			done = s.runSegment(t)
+			dt := time.Since(t0)
+			s.u.account(w, dt)
+			t.busy += dt
 		}
-		s.deques[w] = append(s.deques[w], t)
-		s.cond.Signal()
-		s.mu.Unlock()
+		s.u.jobDone(t.job.Name, t.busy)
+		s.deliver(t.res)
 	}
 }
 
 // take returns the next task for worker w: its own deque's front,
-// else stolen work, else it blocks until work appears or the batch
-// finishes (nil).
+// else stolen work, else nil. Deques are filled once, at seeding, so
+// when every one is empty no work can appear and the worker retires.
 func (s *segScheduler) take(w int) *segTask {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for {
-		if s.remaining == 0 {
-			return nil
-		}
-		if q := s.deques[w]; len(q) > 0 {
-			t := q[0]
-			copy(q, q[1:])
-			q[len(q)-1] = nil
-			s.deques[w] = q[:len(q)-1]
-			return t
-		}
-		if t := s.steal(w); t != nil {
-			return t
-		}
-		s.cond.Wait()
+	if q := s.deques[w]; len(q) > 0 {
+		t := q[0]
+		copy(q, q[1:])
+		q[len(q)-1] = nil
+		s.deques[w] = q[:len(q)-1]
+		return t
 	}
+	return s.steal(w)
 }
 
 // steal moves the back half (rounded up) of the richest victim's deque

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/netfpga"
@@ -24,50 +25,83 @@ func batchFingerprint(results []Result) string {
 // scheduler's headline contract: for every (workers x segment budget)
 // combination — tiny budgets that park devices thousands of times,
 // the auto default, and fully unsegmented — the batch's per-device
-// results are byte-identical to sequential whole-job execution.
+// results are byte-identical to sequential whole-job execution. Every
+// leg also counts live devices (Build entered, Drive not yet returned):
+// a worker runs one device to completion before it starts the next, so
+// no more than Workers devices may ever be alive at once.
 func TestSegmentedDeterministicAcrossWorkersAndBudgets(t *testing.T) {
-	mkJobs := func() []Job {
-		jobs := make([]Job, 8)
+	var live, peak atomic.Int64
+	mkJobs := func(n int) []Job {
+		jobs := make([]Job, n)
 		for i := range jobs {
-			jobs[i] = switchJob(fmt.Sprintf("dev%d", i))
+			job := switchJob(fmt.Sprintf("dev%d", i))
+			build, drive := job.Build, job.Drive
+			job.Build = func(dev *netfpga.Device) error {
+				cur := live.Add(1)
+				for p := peak.Load(); cur > p && !peak.CompareAndSwap(p, cur); p = peak.Load() {
+				}
+				return build(dev)
+			}
+			job.Drive = func(c *Ctx) (any, error) {
+				defer live.Add(-1)
+				return drive(c)
+			}
+			jobs[i] = job
 		}
 		return jobs
 	}
-	ref := batchFingerprint((&Runner{Workers: 1, BaseSeed: 42}).
-		RunAll(context.Background(), mkJobs()))
+	refs := map[int]string{}
+	for _, n := range []int{8, 16} {
+		refs[n] = batchFingerprint((&Runner{Workers: 1, BaseSeed: 42}).
+			RunAll(context.Background(), mkJobs(n)))
+	}
 
-	budgets := []struct {
+	type leg struct {
 		name    string
+		workers int
+		jobs    int
 		segment bool
 		budget  uint64
-	}{
-		{"tiny", true, 512},
-		{"default", true, 0},
-		{"unsegmented", false, 0},
 	}
+	var legs []leg
 	for _, workers := range []int{1, 4, 8} {
-		for _, bg := range budgets {
-			r := &Runner{Workers: workers, BaseSeed: 42, Segment: bg.segment, SegmentBudget: bg.budget}
-			res := r.RunAll(context.Background(), mkJobs())
-			for _, rr := range res {
-				if rr.Err != nil {
-					t.Fatalf("workers=%d budget=%s: job %q failed: %v", workers, bg.name, rr.Name, rr.Err)
-				}
+		legs = append(legs,
+			leg{"tiny", workers, 8, true, 512},
+			leg{"default", workers, 8, true, 0},
+			leg{"unsegmented", workers, 8, false, 0})
+	}
+	// More jobs than workers at a tiny budget: every device parks many
+	// times while others wait, which is where interleaving parked devices
+	// would hold the whole batch in memory.
+	for _, workers := range []int{1, 2, 4} {
+		legs = append(legs, leg{"tiny16", workers, 16, true, 512})
+	}
+
+	for _, l := range legs {
+		peak.Store(0)
+		r := &Runner{Workers: l.workers, BaseSeed: 42, Segment: l.segment, SegmentBudget: l.budget}
+		res := r.RunAll(context.Background(), mkJobs(l.jobs))
+		for _, rr := range res {
+			if rr.Err != nil {
+				t.Fatalf("workers=%d budget=%s: job %q failed: %v", l.workers, l.name, rr.Name, rr.Err)
 			}
-			if got := batchFingerprint(res); got != ref {
-				t.Errorf("workers=%d budget=%s: results diverge from sequential whole-job run",
-					workers, bg.name)
-			}
-			u := r.Utilization()
-			if u == nil {
-				t.Fatalf("workers=%d budget=%s: no utilization report", workers, bg.name)
-			}
-			// Only the tiny budget is guaranteed to split these small
-			// jobs; the auto default may legitimately run them whole.
-			if bg.name == "tiny" && u.Segments <= 8 {
-				t.Errorf("workers=%d budget=%s: only %d segments — scheduler did not split jobs",
-					workers, bg.name, u.Segments)
-			}
+		}
+		if got := batchFingerprint(res); got != refs[l.jobs] {
+			t.Errorf("workers=%d budget=%s: results diverge from sequential whole-job run",
+				l.workers, l.name)
+		}
+		if p := peak.Load(); p > int64(l.workers) {
+			t.Errorf("workers=%d budget=%s: %d devices alive at once", l.workers, l.name, p)
+		}
+		u := r.Utilization()
+		if u == nil {
+			t.Fatalf("workers=%d budget=%s: no utilization report", l.workers, l.name)
+		}
+		// Only the tiny budget is guaranteed to split these small
+		// jobs; the auto default may legitimately run them whole.
+		if l.segment && l.budget != 0 && u.Segments <= uint64(l.jobs) {
+			t.Errorf("workers=%d budget=%s: only %d segments — scheduler did not split jobs",
+				l.workers, l.name, u.Segments)
 		}
 	}
 }
